@@ -84,9 +84,11 @@ from .operators import (
     truncate_to_band,
 )
 from .space import (
+    BallIndex,
     FiniteMetricSpace,
     GeometryProfile,
     ball,
+    ball_index,
     from_graph,
     generate_family,
     geometry_profile,

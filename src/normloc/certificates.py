@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,8 @@ class VectorCertificate:
             raise FormatError(
                 f"vector table shape {vec.shape}, wanted {(n, n, self.m)}"
             )
+        if not np.isfinite(vec).all():
+            raise DataError("vector table has a NaN or infinite entry")
         outside = self.space.dist > self.radius
         if vec[outside].any():
             raise DataError("vector entry outside the radius ball")
@@ -135,19 +138,24 @@ class VectorCertificate:
         Uses the exact rational table when present.  Otherwise the float
         product is symmetrized (to drop last-bit asymmetry of the matrix
         product) and the diagonal, already 1 up to ``UNIT_NORM_TOL``, is
-        pinned to exactly 1.
+        pinned to exactly 1.  Computed on the first call; every call
+        returns the same read-only array.
         """
+        return self._gram
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
         if self.exact_gram is not None:
-            return np.array(
-                [[float(v) for v in row] for row in self.exact_gram]
-            )
-        flat = self.vectors.reshape(self.space.n, -1)
-        g = flat @ flat.conj().T
-        g = (g + g.conj().T) / 2
-        drift = np.abs(np.diagonal(g) - 1.0).max()
-        if drift > 1e-9:
-            raise VerificationError(f"gram diagonal off by {drift}")
-        np.fill_diagonal(g, 1.0)
+            g = np.array([[float(v) for v in row] for row in self.exact_gram])
+        else:
+            flat = self.vectors.reshape(self.space.n, -1)
+            g = flat @ flat.conj().T
+            g = (g + g.conj().T) / 2
+            drift = np.abs(np.diagonal(g) - 1.0).max()
+            if drift > 1e-9:
+                raise VerificationError(f"gram diagonal off by {drift}")
+            np.fill_diagonal(g, 1.0)
+        g.setflags(write=False)
         return g
 
 

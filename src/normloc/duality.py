@@ -57,7 +57,7 @@ from .operators import (
     random_banded,
     same_space,
 )
-from .space import FiniteMetricSpace, ball, geometry_profile
+from .space import FiniteMetricSpace, ball_index, geometry_profile
 
 
 class SchurCPMap:
@@ -243,15 +243,13 @@ def a_implies_onl_bound(
     all_verified: bool | None = None
     if samples > 0:
         cp = SchurCPMap(certificate)
-        balls = tuple(
-            ball(space, x, certificate.radius) for x in range(space.n)
-        )
+        index = ball_index(space, certificate.radius)
         rng = np.random.default_rng(seed)
         child_seeds = rng.integers(0, 2**63 - 1, size=samples)
         for s in child_seeds:
             a = random_banded(space, band_radius, int(s))
             norm_a = operator_norm(a, method=norm_method)
-            compressed = compress(a, certificate.radius, balls)
+            compressed = compress(a, certificate.radius, index)
             moved = operator_norm(a - phi_apply(cp, compressed), method=norm_method)
             loc = compressed.norm()
             multiplier_ok = moved <= epsilon * norm_a + slack
@@ -298,12 +296,12 @@ def kernel_from_cp_map(
         radius = cp.radius
     space = cp.space
     n = space.n
-    balls = tuple(ball(space, x, radius) for x in range(n))
+    index = ball_index(space, radius)
     table = np.zeros((n, n), dtype=np.complex128)
     for y in range(n):
         for z in range(n):
             unit = matrix_unit(space, y, z)
-            image = phi_apply(cp, compress(unit, radius, balls))
+            image = phi_apply(cp, compress(unit, radius, index))
             table[y, z] = image.entry(y, z)
     nonzero = table != 0
     np.fill_diagonal(nonzero, False)
@@ -395,10 +393,10 @@ def sampled_cb_norm_check(
         raise InvalidParams("need at least one sample")
     rng = np.random.default_rng(seed)
     child_seeds = rng.integers(0, 2**63 - 1, size=(samples, 2))
-    balls = tuple(ball(space, x, loc_radius) for x in range(space.n))
+    index = ball_index(space, loc_radius)
 
     def inverse_ratio(a: BandedOperator) -> float:
-        return operator_norm(a) / compress(a, loc_radius, balls).norm()
+        return operator_norm(a) / compress(a, loc_radius, index).norm()
 
     scalar_ratios = []
     amplified_ratios = []

@@ -19,16 +19,17 @@ flattening) round out the toolbox.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     AllWeightsZero,
+    DataError,
     DegenerateWitness,
     InvalidParams,
     InvalidRadii,
+    RadiusMismatch,
     ZeroOperator,
 )
 from .operators import (
@@ -37,8 +38,15 @@ from .operators import (
     operator_norm,
     propagation,
     random_banded,
+    same_space,
 )
-from .space import FiniteMetricSpace, ball, restrict
+from .space import (
+    BallIndex,
+    FiniteMetricSpace,
+    ball_index,
+    restrict,
+    size_groups,
+)
 
 # Slack allowed when verifying chain inequalities that hold exactly in
 # arithmetic but pass through floating-point norms.
@@ -65,6 +73,27 @@ def support_diameter(space: FiniteMetricSpace, points) -> float | int:
     return float(val) if space.dist.dtype.kind == "f" else int(val)
 
 
+def _top_singular_values(
+    groups: tuple, submatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, largest singular value of ``submatrix(center)``).
+
+    ``groups`` holds centers of equal ball size, so each group is one
+    batched singular value pass.  Centers come back in increasing order.
+    """
+    if not groups:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    centers = np.concatenate(groups)
+    values = np.concatenate([
+        np.linalg.svd(
+            np.stack([submatrix(x) for x in xs]), compute_uv=False
+        )[:, 0]
+        for xs in groups
+    ])
+    order = np.argsort(centers)
+    return centers[order], values[order]
+
+
 @dataclass(frozen=True, eq=False)
 class BlockCompression:
     """The family of two-sided ball restrictions of one operator.
@@ -75,51 +104,65 @@ class BlockCompression:
 
     source: BandedOperator
     radius: float
-    balls: tuple
+    index: BallIndex
 
     @property
     def space(self) -> FiniteMetricSpace:
         return self.source.space
 
     def block(self, x: int) -> np.ndarray:
-        idx = expand_indices(self.balls[x], self.source.m)
+        idx = expand_indices(self.index.balls[x], self.source.m)
         return self.source.data[np.ix_(idx, idx)]
 
     def norm(self) -> float:
-        """Sup over points of the spectral norm of the ball restriction."""
-        return float(max(self.block_norms(), default=0.0))
+        """Sup over points of the spectral norm of the ball restriction.
+
+        A block of a sub-ball is a submatrix of the block of the larger
+        ball, so only the inclusion-maximal balls are factorized.
+        """
+        _, values = _top_singular_values(self.index.groups, self.block)
+        return float(max(values, default=0.0))
 
     def block_norms(self) -> np.ndarray:
         """Spectral norm of every block, indexed by point."""
-        n = self.space.n
-        out = np.zeros(n)
-        by_size: dict[int, list[int]] = defaultdict(list)
-        for x, b in enumerate(self.balls):
-            if len(b):
-                by_size[len(b)].append(x)
-        for xs in by_size.values():
-            stack = np.stack([self.block(x) for x in xs])
-            svals = np.linalg.svd(stack, compute_uv=False)
-            out[xs] = svals[:, 0]
+        out = np.zeros(self.space.n)
+        groups = size_groups(self.index.balls, range(self.space.n))
+        centers, values = _top_singular_values(groups, self.block)
+        out[centers] = values
         return out
 
     def is_zero(self) -> bool:
-        return not any(self.block(x).any() for x in range(self.space.n))
+        return not any(self.block(x).any() for x in self.index.maximal)
+
+
+def _checked_index(
+    a: BandedOperator, radius: float, index: BallIndex | None
+) -> BallIndex:
+    """The given ball index after checking it fits, or a new one."""
+    if index is None:
+        return ball_index(a.space, radius)
+    if index.radius != radius:
+        raise RadiusMismatch(
+            f"ball index of radius {index.radius} used at radius {radius}"
+        )
+    if not same_space(index.space, a.space):
+        raise DataError("ball index and operator live on different spaces")
+    return index
 
 
 def compress(
-    a: BandedOperator, radius: float, balls: tuple | None = None
+    a: BandedOperator, radius: float, index: BallIndex | None = None
 ) -> BlockCompression:
     """Restrict an operator to every closed ball of the given radius.
 
-    ``balls`` can carry precomputed ball index arrays to amortize repeated
-    compressions over one space.
+    ``index`` can carry a prebuilt :func:`ball_index` of the operator's
+    space at this radius, to amortize repeated compressions over one space.
     """
     if radius < 0:
         raise InvalidParams(f"localization radius must be >= 0, got {radius}")
-    if balls is None:
-        balls = tuple(ball(a.space, x, radius) for x in range(a.space.n))
-    return BlockCompression(source=a, radius=radius, balls=balls)
+    return BlockCompression(
+        source=a, radius=radius, index=_checked_index(a, radius, index)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,42 +176,38 @@ class ColumnWitness:
 
 
 def best_localized_vector(
-    a: BandedOperator, radius: float, balls: tuple | None = None
+    a: BandedOperator, radius: float, index: BallIndex | None = None
 ) -> ColumnWitness:
     """Unit vector supported in a single ball maximizing ||a v||.
 
-    Scans every ball through a batched singular value pass and solves the
-    winner (smallest center index on ties) for its top right singular
-    vector.  Raises :class:`ZeroOperator` when the operator kills every
-    ball, which happens exactly when it is zero.
+    Restricting a to the columns of a sub-ball gives a submatrix of its
+    restriction to the larger ball, so only the inclusion-maximal balls are
+    scanned, through a batched singular value pass.  The winner (smallest
+    center among maximal balls on ties; equal balls count under their
+    smallest center) is solved for its top right singular vector.  A ball
+    inside another never wins a tie: identity on a path at radius 1 picks
+    center 1, not the end point 0.  Raises :class:`ZeroOperator` when the
+    operator kills every ball, which happens exactly when it is zero.
     """
     n, m = a.n, a.m
-    if balls is None:
-        balls = tuple(ball(a.space, x, radius) for x in range(n))
-    norms = np.zeros(n)
-    by_size: dict[int, list[int]] = defaultdict(list)
-    for x, b in enumerate(balls):
-        if len(b):
-            by_size[len(b)].append(x)
-    for xs in by_size.values():
-        stack = np.stack(
-            [a.data[:, expand_indices(balls[x], m)] for x in xs]
-        )
-        svals = np.linalg.svd(stack, compute_uv=False)
-        norms[xs] = svals[:, 0]
-    if norms.max() == 0.0:
+    index = _checked_index(a, radius, index)
+    centers, norms = _top_singular_values(
+        index.groups, lambda x: a.data[:, expand_indices(index.balls[x], m)]
+    )
+    if not norms.size or norms.max() == 0.0:
         raise ZeroOperator("operator vanishes on every ball")
-    center = int(np.argmax(norms))
-    cols = expand_indices(balls[center], m)
+    best = int(np.argmax(norms))
+    center = int(centers[best])
+    cols = expand_indices(index.balls[center], m)
     _, _, vh = np.linalg.svd(a.data[:, cols])
     local = vh[0].conj()
     vec = np.zeros(n * m, dtype=np.complex128)
     vec[cols] = local
     return ColumnWitness(
         center=center,
-        points=np.asarray(balls[center], dtype=np.int64),
+        points=np.asarray(index.balls[center], dtype=np.int64),
         vector=vec,
-        column_norm=float(norms[center]),
+        column_norm=float(norms[best]),
     )
 
 
@@ -239,8 +278,9 @@ def localization_report(
     if norm_a == 0.0:
         raise ZeroOperator("cannot profile the zero operator")
     prop = propagation(a)
-    sq = compress(a, radius).norm()
-    col_witness = best_localized_vector(a, radius)
+    index = ball_index(a.space, radius)
+    sq = compress(a, radius, index).norm()
+    col_witness = best_localized_vector(a, radius, index)
     col = col_witness.column_norm
     wide = compress(a, radius + prop).norm()
     sigma_sq = sq / norm_a
@@ -669,7 +709,7 @@ def _refine_ratio(
     rng: np.random.Generator,
 ) -> float:
     """Greedy coordinate descent pushing sigma_sq down from a start point."""
-    balls = tuple(ball(space, x, loc_radius) for x in range(space.n))
+    index = ball_index(space, loc_radius)
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
     mask = space.dist <= band_radius
@@ -679,7 +719,7 @@ def _refine_ratio(
         norm_a = operator_norm(op)
         if norm_a == 0.0:
             return np.inf
-        return compress(op, loc_radius, balls).norm() / norm_a
+        return compress(op, loc_radius, index).norm() / norm_a
 
     best = ratio_of(data)
     scale = float(np.abs(data).max()) or 1.0

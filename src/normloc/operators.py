@@ -113,10 +113,6 @@ class BandedOperator:
             self.space, self.m, self.data.conj().T, self.support.T
         )
 
-    def support_pairs(self) -> np.ndarray:
-        """Structural support as an array of (y, z) pairs, row-major."""
-        return np.argwhere(self.support)
-
     def _binary(self, other: "BandedOperator", op) -> "BandedOperator":
         if not isinstance(other, BandedOperator):
             return NotImplemented

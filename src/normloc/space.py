@@ -102,6 +102,62 @@ def ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:
     return np.flatnonzero(space.dist[x] <= radius)
 
 
+@dataclass(frozen=True, eq=False)
+class BallIndex:
+    """The closed balls of one radius around every point of a space.
+
+    ``balls[x]`` holds the indices of the ball around ``x`` in increasing
+    order.  ``maximal`` lists, in increasing order, the centers of the
+    inclusion-maximal balls, with equal balls collapsed to their smallest
+    center; ``groups`` splits those centers of nonempty balls by ball size,
+    smallest size first, so that one batched factorization covers each
+    group.  Every ball lies inside some maximal ball, so a supremum of
+    norms of restrictions (two-sided or to columns) is attained on them.
+    """
+
+    space: FiniteMetricSpace
+    radius: float
+    balls: tuple
+    maximal: np.ndarray
+    groups: tuple
+
+
+def size_groups(balls: tuple, centers) -> tuple:
+    """Split centers of nonempty balls by ball size, smallest size first."""
+    centers = np.asarray(centers, dtype=np.int64)
+    sizes = np.array([len(balls[x]) for x in centers], dtype=np.int64)
+    return tuple(centers[sizes == s] for s in np.unique(sizes) if s > 0)
+
+
+def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
+    """Index the closed balls of the given radius and find the maximal ones.
+
+    Ball x lies inside ball y exactly when their overlap count equals the
+    size of ball x; all overlap counts come from one matrix product.
+    """
+    if radius < 0:
+        raise InvalidParams(f"ball radius must be nonnegative, got {radius}")
+    inside = space.dist <= radius
+    balls = tuple(np.flatnonzero(row) for row in inside)
+    # A float product runs through BLAS and counts exactly at these sizes.
+    within = inside.astype(np.float64)
+    sizes = within.sum(axis=1)
+    contained = (within @ within.T) == sizes[:, None]
+    # x is dropped when its ball lies in a strictly larger ball, or equals
+    # the ball of a smaller center.
+    larger = sizes[None, :] > sizes[:, None]
+    earlier = np.tri(space.n, k=-1, dtype=bool)
+    dropped = (contained & (larger | earlier)).any(axis=1)
+    maximal = np.flatnonzero(~dropped)
+    return BallIndex(
+        space=space,
+        radius=radius,
+        balls=balls,
+        maximal=maximal,
+        groups=size_groups(balls, maximal),
+    )
+
+
 def geometry_profile(space: FiniteMetricSpace, radius: float) -> GeometryProfile:
     """Ball sizes, their maximum, and the diameter at the given radius."""
     if radius < 0:

@@ -45,3 +45,26 @@ def naive_compression_norm(a, radius: float) -> float:
         idx = np.concatenate([np.arange(p * m, (p + 1) * m) for p in points])
         best = max(best, dense_norm(a.data[np.ix_(idx, idx)]))
     return best
+
+
+def naive_column_norm(a, radius: float) -> float:
+    """Largest norm of a restricted to the columns of one ball, every ball."""
+    best = 0.0
+    n, m = a.n, a.m
+    for x in range(n):
+        points = np.flatnonzero(a.space.dist[x] <= radius)
+        idx = np.concatenate([np.arange(p * m, (p + 1) * m) for p in points])
+        best = max(best, dense_norm(a.data[:, idx]))
+    return best
+
+
+def maximal_ball_centers(space, radius: float) -> list:
+    """Smallest center of each inclusion-maximal ball, by set comparison."""
+    balls = [
+        frozenset(np.flatnonzero(space.dist[x] <= radius).tolist())
+        for x in range(space.n)
+    ]
+    return [
+        x for x, b in enumerate(balls)
+        if not any(b < c for c in balls) and balls.index(b) == x
+    ]

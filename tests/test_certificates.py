@@ -75,6 +75,22 @@ def test_vector_certificate_validation(c6):
     with pytest.raises(nl.DataError):
         nl.VectorCertificate(c6, 0, 1, unnorm)
 
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        broken = vecs.copy()
+        broken[0, 0, 0] = bad
+        with pytest.raises(nl.DataError):
+            nl.VectorCertificate(c6, 0, 1, broken)
+
+
+def test_gram_is_computed_once_and_read_only(c60, p4):
+    # cycle balls share one size (exact Gram), path balls do not (float)
+    for sp in (c60, p4):
+        vec = nl.subset_to_vector(nl.ball_certificate(sp, 1))
+        g = vec.gram()
+        assert vec.gram() is g
+        with pytest.raises(ValueError):
+            g[0, 1] = 0.0
+
 
 def test_tree_ray_certificate_overlaps():
     bt = nl.generate_family("binary_tree", {"depth": 3})

@@ -88,6 +88,22 @@ def test_missing_and_malformed_inputs(tmp_path):
     assert main(["space", "validate", "--in", str(junk)]) == 3
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_cert_check_non_finite_vector_exit_3(tmp_path, capsys, value):
+    # a one-point vector certificate whose only coefficient is not finite
+    doc = (
+        '{"form": "vector", "radius": 0, "m": 1, '
+        f'"entries": [[0, 0, 1, {value}, 0.0]], '
+        '"space": {"name": "pt", "labels": ["0"], "dist": [[0]]}}'
+    )
+    path = tmp_path / "nan.json"
+    path.write_text(doc)
+    assert main(["cert", "check", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "verdict: pass" not in captured.out
+    assert "NaN or infinite" in captured.err
+
+
 def test_threads_flag(tmp_path):
     path = tmp_path / "c.json"
     base = ["space", "gen", "--kind", "cycle", "--n", "6", "--out", str(path)]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normloc as nl
-from helpers import dense_norm, naive_compression_norm
+from helpers import dense_norm, naive_column_norm, naive_compression_norm
 
 
 def test_compression_blocks_are_subreads(c6):
@@ -25,6 +25,32 @@ def test_compression_norm_matches_naive_oracle(c60):
                 abs(nl.compress(a, radius).norm() - naive_compression_norm(a, radius))
                 < 1e-12
             )
+
+
+@pytest.mark.parametrize("space", ["btree6", "grid8"])
+def test_pruned_norms_match_naive_oracles(space, request):
+    # most balls here lie inside another ball, so the pruning is exercised
+    sp = request.getfixturevalue(space)
+    for seed in range(2):
+        a = nl.random_banded(sp, 1, seed=seed)
+        for radius in range(1, 7):
+            comp = nl.compress(a, radius)
+            assert abs(comp.norm() - naive_compression_norm(a, radius)) < 1e-12
+            assert comp.norm() == comp.block_norms().max()
+            column = nl.best_localized_vector(a, radius).column_norm
+            assert abs(column - naive_column_norm(a, radius)) < 1e-12
+
+
+def test_compress_rejects_a_ball_index_of_another_radius(c6, p4):
+    a = nl.random_banded(c6, 1, seed=2)
+    index = nl.ball_index(c6, 2)
+    assert nl.compress(a, 2, index).norm() == nl.compress(a, 2).norm()
+    with pytest.raises(nl.RadiusMismatch):
+        nl.compress(a, 1, index)
+    with pytest.raises(nl.RadiusMismatch):
+        nl.best_localized_vector(a, 1, index)
+    with pytest.raises(nl.DataError):
+        nl.compress(nl.identity(p4), 2, index)
 
 
 def test_compression_known_values(c6):
@@ -67,6 +93,15 @@ def test_best_localized_vector_tie_breaks_to_smallest_center(c6):
     one = nl.identity(c6)
     witness = nl.best_localized_vector(one, 1)
     assert witness.center == 0
+
+
+def test_best_localized_vector_ties_skip_balls_inside_others():
+    # on a path the end ball {0, 1} lies inside the ball {0, 1, 2} around 1,
+    # so the identity's tie goes to center 1, the smallest maximal center
+    path = nl.generate_family("path", {"n": 5})
+    one = nl.identity(path)
+    assert nl.best_localized_vector(one, 1).center == 1
+    assert nl.localization_report(one, 1).witness_center == 1
 
 
 def test_best_localized_vector_zero_operator(c6):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normloc as nl
-from helpers import edges_of, floyd_warshall
+from helpers import edges_of, floyd_warshall, maximal_ball_centers
 
 
 @pytest.mark.parametrize(
@@ -103,6 +103,37 @@ def test_ball_contents(c6, grid3):
         nl.ball(c6, 6, 1)
     with pytest.raises(nl.InvalidParams):
         nl.ball(c6, 0, -1)
+
+
+@pytest.mark.parametrize(
+    "kind, params, radii",
+    [
+        ("path", {"n": 9}, (0, 1, 2, 4, 8)),
+        ("binary_tree", {"depth": 4}, (0, 1, 2, 3, 5, 8)),
+        ("grid", {"rows": 4, "cols": 5}, (0, 1, 2, 3, 7)),
+        ("cycle", {"n": 6}, (0, 1, 2, 3)),
+    ],
+)
+def test_ball_index_maximal_centers_match_subset_check(kind, params, radii):
+    sp = nl.generate_family(kind, params)
+    for radius in radii:
+        index = nl.ball_index(sp, radius)
+        assert index.maximal.tolist() == maximal_ball_centers(sp, radius)
+        for x in range(sp.n):
+            assert np.array_equal(index.balls[x], nl.ball(sp, x, radius))
+        grouped = np.sort(np.concatenate(index.groups))
+        assert np.array_equal(grouped, index.maximal)
+        for xs in index.groups:
+            assert len({len(index.balls[x]) for x in xs}) == 1
+
+
+def test_ball_index_collapses_equal_balls(c6, btree6):
+    # every ball of radius 3 on the 6-cycle is the whole space
+    assert nl.ball_index(c6, 3).maximal.tolist() == [0]
+    assert nl.ball_index(btree6, 6).maximal.tolist() == [0]
+    assert len(nl.ball_index(btree6, 5).maximal) == 3
+    with pytest.raises(nl.InvalidParams):
+        nl.ball_index(c6, -1)
 
 
 def test_geometry_profile(c6, grid3, p4):
