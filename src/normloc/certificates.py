@@ -15,7 +15,6 @@ are computed from that table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -125,7 +124,10 @@ class VectorCertificate:
                 f"vector at point {worst} has squared norm {sq[worst]!r}"
             )
         if self.exact_gram is not None:
-            eg = tuple(tuple(Fraction(v) for v in row) for row in self.exact_gram)
+            eg = tuple(
+                tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row)
+                for row in self.exact_gram
+            )
             if len(eg) != n or any(len(row) != n for row in eg):
                 raise FormatError("exact Gram table has wrong shape")
             object.__setattr__(self, "exact_gram", eg)
@@ -180,6 +182,8 @@ class KernelCertificate:
         table = np.array(self.table, dtype=np.complex128)
         if table.shape != (n, n):
             raise FormatError(f"kernel shape {table.shape}, wanted {(n, n)}")
+        if not np.isfinite(table).all():
+            raise DataError("kernel table has a NaN or infinite entry")
         beyond = self.space.dist > self.radius
         if table[beyond].any():
             raise DataError(
@@ -259,22 +263,19 @@ def subset_to_vector(cert: SubsetCertificate) -> VectorCertificate:
     |A_y intersect A_z| / s and are kept exactly.
     """
     n, m = cert.space.n, cert.m
-    vec = np.zeros((n, n, m), dtype=np.complex128)
+    # 0/1 membership table: row x, column (point, slot).
+    member = np.zeros((n, n * m))
     for x, a in enumerate(cert.subsets):
-        amp = 1.0 / math.sqrt(len(a))
-        for v, slot in a:
-            vec[x, v, slot - 1] = amp
+        member[x, [v * m + slot - 1 for v, slot in a]] = 1.0
+    amp = 1.0 / np.sqrt(member.sum(axis=1))
+    vec = (member * amp[:, None]).reshape(n, n, m).astype(np.complex128)
     exact = None
-    sizes = set(cert.sizes)
-    if len(sizes) == 1:
-        s = sizes.pop()
-        exact = tuple(
-            tuple(
-                Fraction(len(cert.subsets[y] & cert.subsets[z]), s)
-                for z in range(n)
-            )
-            for y in range(n)
-        )
+    if len(set(cert.sizes)) == 1:
+        s = cert.sizes[0]
+        # Intersection counts; a float product counts exactly at these sizes.
+        counts = (member @ member.T).astype(np.int64).tolist()
+        ratio = [Fraction(c, s) for c in range(s + 1)]
+        exact = tuple(tuple(ratio[c] for c in row) for row in counts)
     return VectorCertificate(
         space=cert.space, radius=cert.radius, m=m, vectors=vec, exact_gram=exact
     )
@@ -417,16 +418,17 @@ def certificate_from_json(obj: dict, space: FiniteMetricSpace | None = None):
         space = space_from_json(obj["space"])
     form = obj["form"]
     radius = obj.get("radius")
-    if radius is None:
-        raise FormatError("certificate document needs 'radius'")
+    if type(radius) not in (int, float) or not np.isfinite(radius):
+        raise FormatError(f"'radius' must be a finite number, got {radius!r}")
     if form == "subset":
         m = int(obj.get("m", 1))
         raw = obj.get("subsets")
         if not isinstance(raw, list):
             raise FormatError("'subsets' must be a list")
-        subsets = tuple(
-            frozenset((int(v), int(i)) for v, i in a) for a in raw
-        )
+        try:
+            subsets = tuple(frozenset((int(v), int(i)) for v, i in a) for a in raw)
+        except (TypeError, ValueError):
+            raise FormatError("subsets must be lists of [point, slot]") from None
         return SubsetCertificate(space=space, radius=radius, m=m, subsets=subsets)
     if form == "vector":
         m = int(obj.get("m", 1))

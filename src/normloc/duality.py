@@ -14,8 +14,8 @@ quantitative bound: for operators of propagation at most R,
 
 with kappa the largest R-ball and deficit the worst Gram shortfall on the
 band, hence ||compression(a)|| >= (1 - kappa * deficit) * ||a||.  The
-kernel extracted entrywise from the multiplier is the Gram matrix again,
-closing the loop between certificate forms.
+multiplier's kernel, in closed form the Gram table masked by ball overlap,
+is the Gram matrix again, closing the loop between certificate forms.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .localization import (
 from .operators import (
     BandedOperator,
     adjacency,
-    matrix_unit,
     max_abs_entry,
     operator_norm,
     propagation,
@@ -74,7 +73,8 @@ class SchurCPMap:
         self.space = certificate.space
         self.radius = certificate.radius
         self.gram_table = np.asarray(certificate.gram(), dtype=np.complex128)
-        within = (self.space.dist <= self.radius).astype(np.int64)
+        # A float product runs through BLAS and counts exactly at these sizes.
+        within = (self.space.dist <= self.radius).astype(np.float64)
         self.overlap = (within @ within) > 0
 
     def __repr__(self) -> str:
@@ -282,27 +282,24 @@ def a_implies_onl_bound(
     )
 
 
-def kernel_from_cp_map(
-    cp: SchurCPMap, radius: float | None = None
-) -> KernelCertificate:
-    """Extract the kernel of the multiplier entry by entry.
+def kernel_from_cp_map(cp: SchurCPMap) -> KernelCertificate:
+    """The kernel of the multiplier: the Gram table masked by ball overlap.
 
-    Runs every matrix unit through compression and the map and reads the
-    image entry back.  This is the literal route (quadratically many small
-    operations); it reproduces the certificate Gram matrix exactly and the
-    experiments compare the two.
+    The multiplier sends e_yz to Gram[y, z] e_yz when y and z share a ball
+    and kills it otherwise.  The table takes the same complex product as
+    the literal route (each matrix unit through compression and
+    :func:`phi_apply`, a test oracle), so the two agree bit for bit.  A
+    negative map radius, a map radius other than the certificate's, or a
+    nonzero Gram weight outside the overlap raises.
     """
-    if radius is None:
-        radius = cp.radius
+    if cp.radius < 0:
+        raise InvalidParams(f"map radius must be nonnegative, got {cp.radius}")
+    if cp.radius != cp.certificate.radius:
+        raise RadiusMismatch(f"map radius {cp.radius} is not its certificate's")
+    table = cp.gram_table * (1 + 0j)
+    if table[~cp.overlap].any():
+        raise DataError("nonzero Gram weight between points with no common ball")
     space = cp.space
-    n = space.n
-    index = ball_index(space, radius)
-    table = np.zeros((n, n), dtype=np.complex128)
-    for y in range(n):
-        for z in range(n):
-            unit = matrix_unit(space, y, z)
-            image = phi_apply(cp, compress(unit, radius, index))
-            table[y, z] = image.entry(y, z)
     nonzero = table != 0
     np.fill_diagonal(nonzero, False)
     prop = space.dist[nonzero].max() if nonzero.any() else 0

@@ -7,6 +7,8 @@ against iterative or blockwise norms) so agreement is meaningful.
 
 import numpy as np
 
+import normloc as nl
+
 # Large finite stand-in for "unreachable" that survives one addition.
 _FAR = np.iinfo(np.int64).max // 4
 
@@ -68,3 +70,21 @@ def maximal_ball_centers(space, radius: float) -> list:
         x for x, b in enumerate(balls)
         if not any(b < c for c in balls) and balls.index(b) == x
     ]
+
+
+def literal_kernel_from_cp_map(cp) -> np.ndarray:
+    """Kernel table of a multiplier, one matrix unit at a time (O(n^4)).
+
+    Runs every e_yz through compression at the map's radius and through
+    the multiplier, and reads the (y, z) entry of the image back.
+    """
+    space = cp.space
+    n = space.n
+    index = nl.ball_index(space, cp.radius)
+    table = np.zeros((n, n), dtype=np.complex128)
+    for y in range(n):
+        for z in range(n):
+            unit = nl.matrix_unit(space, y, z)
+            image = nl.phi_apply(cp, nl.compress(unit, cp.radius, index))
+            table[y, z] = image.entry(y, z)
+    return table

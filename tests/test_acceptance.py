@@ -16,7 +16,12 @@ from fractions import Fraction
 import numpy as np
 
 import normloc as nl
-from helpers import dense_norm, edges_of, floyd_warshall
+from helpers import (
+    dense_norm,
+    edges_of,
+    floyd_warshall,
+    literal_kernel_from_cp_map,
+)
 from normloc.cli import main as cli_main
 
 
@@ -274,13 +279,19 @@ def test_criterion_08_extracted_kernels(c60, btree6):
         deficit = nl.a_implies_onl_bound(cert, 1).gram_deficit
         if nl.kernel_deviation(kernel, 1) != deficit:
             problems.append(f"{label}: band deviation != Gram deficit")
+    # the closed-form kernel against the literal matrix-unit route
+    cp = nl.SchurCPMap(cases[0][2])
+    oracle = literal_kernel_from_cp_map(cp)
+    if nl.kernel_from_cp_map(cp).table.tobytes() != oracle.tobytes():
+        problems.append("60-cycle ball S=10: kernel differs from literal route")
     ok = not problems
     assert _verdict(
         8,
         ok,
         "extracted kernels (60-cycle S=10, tree ray L=8): exact unit "
         "diagonal, exact Hermitian, eigenvalues >= -1e-8*n, exact zeros off "
-        "the overlap set, band deviation == Gram deficit exactly",
+        "the overlap set, band deviation == Gram deficit exactly, 60-cycle "
+        "kernel bytes == literal matrix-unit route",
     ), problems
 
 

@@ -104,6 +104,41 @@ def test_cert_check_non_finite_vector_exit_3(tmp_path, capsys, value):
     assert "NaN or infinite" in captured.err
 
 
+_PATH3 = {"name": "p3", "labels": ["0", "1", "2"],
+          "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+_UNIT_DIAGONAL = [[x, x, 1.0, 0.0] for x in range(3)]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"form": "kernel", "radius": 1, "entries": _UNIT_DIAGONAL
+             + [[0, 1, float("nan"), 0.0], [1, 0, float("nan"), 0.0]]},
+            "NaN or infinite",
+        ),
+        ({"form": "subset", "radius": 1, "subsets": [[1]]}, "[point, slot]"),
+        (
+            {"form": "subset", "radius": 1, "subsets": [[["a", 1]]]},
+            "[point, slot]",
+        ),
+        (
+            {"form": "subset", "radius": "x",
+             "subsets": [[[0, 1]], [[1, 1]], [[2, 1]]]},
+            "'radius' must be a finite number",
+        ),
+    ],
+    ids=["nan-kernel-pair", "bare-int-member", "string-point", "string-radius"],
+)
+def test_cert_check_malformed_document_exit_3(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, "space": _PATH3}))
+    assert main(["cert", "check", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert message in captured.err
+
+
 def test_threads_flag(tmp_path):
     path = tmp_path / "c.json"
     base = ["space", "gen", "--kind", "cycle", "--n", "6", "--out", str(path)]

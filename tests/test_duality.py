@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import normloc as nl
-from helpers import dense_norm
+from helpers import dense_norm, literal_kernel_from_cp_map
 
 
 def _ball_cp(space, radius):
@@ -132,6 +132,66 @@ def test_kernel_extraction_matches_gram(c60):
     assert report["hermitian_error"] == 0.0
     assert report["psd_ok"]
     assert report["measured_propagation"] <= 20
+
+
+def _float_certificate(space, radius, seed, m=2):
+    # seeded Gaussian unit vectors on each ball: a float Gram, no Fractions
+    rng = np.random.default_rng(seed)
+    n = space.n
+    vec = rng.standard_normal((n, n, m)) + 1j * rng.standard_normal((n, n, m))
+    vec[space.dist > radius] = 0
+    vec /= np.linalg.norm(vec.reshape(n, -1), axis=1)[:, None, None]
+    return nl.VectorCertificate(space=space, radius=radius, m=m, vectors=vec)
+
+
+def _assert_kernel_matches_literal_route(cert):
+    cp = nl.SchurCPMap(cert)
+    kernel = nl.kernel_from_cp_map(cp)
+    oracle = literal_kernel_from_cp_map(cp)
+    # byte equality also pins the sign of every zero
+    assert kernel.table.tobytes() == oracle.tobytes()
+
+
+def test_kernel_closed_form_matches_literal_route(c60, btree6):
+    _assert_kernel_matches_literal_route(
+        nl.subset_to_vector(nl.ball_certificate(c60, 10))
+    )
+    _assert_kernel_matches_literal_route(
+        nl.subset_to_vector(nl.tree_ray_certificate(btree6, 8))
+    )
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("cycle", {"n": 12}),
+        ("binary_tree", {"depth": 3}),
+        ("grid", {"rows": 4, "cols": 4}),
+    ],
+)
+def test_kernel_closed_form_matches_literal_route_float_gram(kind, params, radius):
+    space = nl.generate_family(kind, params)
+    cert = _float_certificate(space, radius, seed=radius)
+    assert cert.exact_gram is None
+    _assert_kernel_matches_literal_route(cert)
+
+
+def test_kernel_extraction_fails_closed(c6):
+    _, cp = _ball_cp(c6, 2)
+    cp.radius = 1
+    with pytest.raises(nl.RadiusMismatch):
+        nl.kernel_from_cp_map(cp)
+    cp.radius = -1
+    with pytest.raises(nl.InvalidParams):
+        nl.kernel_from_cp_map(cp)
+    # a Gram weight between points the mask says share no ball
+    _, cp = _ball_cp(c6, 2)
+    cp.overlap = np.eye(6, dtype=bool)
+    with pytest.raises(nl.DataError):
+        nl.kernel_from_cp_map(cp)
+    with pytest.raises(nl.DataError):
+        literal_kernel_from_cp_map(cp)
 
 
 def test_kernel_deviation_matches_bound_deficit(c60):
