@@ -81,6 +81,7 @@ from .operators import (
     operator_to_json,
     propagation,
     random_banded,
+    top_singular_values,
     truncate_to_band,
 )
 from .space import (

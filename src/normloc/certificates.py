@@ -404,6 +404,31 @@ def certificate_to_json(cert, include_space: bool = True) -> dict:
     return out
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer field, refusing floats, booleans and strings."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number field, refusing booleans and strings."""
+    if type(value) not in (int, float):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _records(obj: dict, width: int, layout: str) -> list:
+    """The 'entries' list, each entry a list of ``width`` fields."""
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
+        raise FormatError("'entries' must be a list")
+    for rec in entries:
+        if not isinstance(rec, list) or len(rec) != width:
+            raise FormatError(f"entry {rec!r} is not {layout}")
+    return entries
+
+
 def certificate_from_json(obj: dict, space: FiniteMetricSpace | None = None):
     """Read a certificate document of any form.
 
@@ -420,44 +445,46 @@ def certificate_from_json(obj: dict, space: FiniteMetricSpace | None = None):
     radius = obj.get("radius")
     if type(radius) not in (int, float) or not np.isfinite(radius):
         raise FormatError(f"'radius' must be a finite number, got {radius!r}")
+    if form in ("subset", "vector"):
+        m = _integer(obj.get("m", 1), "'m'")
+        if m < 1:
+            raise FormatError(f"slot count must be >= 1, got {m}")
     if form == "subset":
-        m = int(obj.get("m", 1))
         raw = obj.get("subsets")
         if not isinstance(raw, list):
             raise FormatError("'subsets' must be a list")
         try:
-            subsets = tuple(frozenset((int(v), int(i)) for v, i in a) for a in raw)
-        except (TypeError, ValueError):
-            raise FormatError("subsets must be lists of [point, slot]") from None
+            subsets = tuple(
+                frozenset(
+                    (_integer(v, "a point"), _integer(i, "a slot"))
+                    for v, i in a
+                )
+                for a in raw
+            )
+        except (TypeError, ValueError, FormatError):
+            raise FormatError(
+                "subsets must be lists of integer [point, slot] pairs"
+            ) from None
         return SubsetCertificate(space=space, radius=radius, m=m, subsets=subsets)
     if form == "vector":
-        m = int(obj.get("m", 1))
-        entries = obj.get("entries")
-        if not isinstance(entries, list):
-            raise FormatError("'entries' must be a list")
         vec = np.zeros((space.n, space.n, m), dtype=np.complex128)
-        for rec in entries:
-            if len(rec) != 5:
-                raise FormatError(f"entry {rec!r} is not [x, v, slot, re, im]")
-            x, v, slot, re, im = rec
-            if not (0 <= int(x) < space.n and 0 <= int(v) < space.n):
+        for rec in _records(obj, 5, "[x, v, slot, re, im]"):
+            x, v, slot = (_integer(f, "a vector index") for f in rec[:3])
+            if not (0 <= x < space.n and 0 <= v < space.n):
                 raise UnknownPoint(f"vector entry at ({x}, {v}) outside space")
-            if not 1 <= int(slot) <= m:
+            if not 1 <= slot <= m:
                 raise FormatError(f"slot {slot} outside 1..{m}")
-            vec[int(x), int(v), int(slot) - 1] = float(re) + 1j * float(im)
+            re, im = (_number(f, "a coefficient") for f in rec[3:])
+            vec[x, v, slot - 1] = re + 1j * im
         return VectorCertificate(space=space, radius=radius, m=m, vectors=vec)
     if form == "kernel":
-        entries = obj.get("entries")
-        if not isinstance(entries, list):
-            raise FormatError("'entries' must be a list")
         table = np.zeros((space.n, space.n), dtype=np.complex128)
-        for rec in entries:
-            if len(rec) != 4:
-                raise FormatError(f"entry {rec!r} is not [y, z, re, im]")
-            y, z, re, im = rec
-            if not (0 <= int(y) < space.n and 0 <= int(z) < space.n):
+        for rec in _records(obj, 4, "[y, z, re, im]"):
+            y, z = (_integer(f, "a kernel index") for f in rec[:2])
+            if not (0 <= y < space.n and 0 <= z < space.n):
                 raise UnknownPoint(f"kernel entry at ({y}, {z}) outside space")
-            table[int(y), int(z)] = float(re) + 1j * float(im)
+            re, im = (_number(f, "a coefficient") for f in rec[2:])
+            table[y, z] = re + 1j * im
         return KernelCertificate(
             space=space,
             radius=radius,

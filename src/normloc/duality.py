@@ -55,6 +55,7 @@ from .operators import (
     propagation,
     random_banded,
     same_space,
+    top_singular_values,
 )
 from .space import FiniteMetricSpace, ball_index, geometry_profile
 
@@ -153,7 +154,7 @@ def schur_norm_bound(a: BandedOperator, radius: float | None = None) -> float:
             .transpose(0, 2, 1, 3)
             .reshape(a.n * a.n, a.m, a.m)
         )
-        peak = float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
+        peak = float(top_singular_values(blocks).max())
     return kappa * peak
 
 

@@ -39,6 +39,7 @@ from .operators import (
     propagation,
     random_banded,
     same_space,
+    top_singular_values,
 )
 from .space import (
     BallIndex,
@@ -73,21 +74,27 @@ def support_diameter(space: FiniteMetricSpace, points) -> float | int:
     return float(val) if space.dist.dtype.kind == "f" else int(val)
 
 
-def _top_singular_values(
-    groups: tuple, submatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """(centers, largest singular value of ``submatrix(center)``).
+def _ball_table(index: BallIndex, centers: np.ndarray, m: int) -> np.ndarray:
+    """(centers, ball size * m) flat indices of equal-size balls."""
+    points = np.stack([index.balls[x] for x in centers])
+    return (points[:, :, None] * m + np.arange(m)).reshape(len(centers), -1)
 
-    ``groups`` holds centers of equal ball size, so each group is one
-    batched singular value pass.  Centers come back in increasing order.
+
+def _top_singular_values(
+    index: BallIndex, groups: tuple, m: int, gather
+) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, largest singular value of each gathered ball matrix).
+
+    ``groups`` holds centers of equal ball size; ``gather`` maps the
+    index table of one group to its stack of matrices in one fancy index,
+    so each group is one kernel pass.  Centers come back in increasing
+    order.
     """
     if not groups:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     centers = np.concatenate(groups)
     values = np.concatenate([
-        np.linalg.svd(
-            np.stack([submatrix(x) for x in xs]), compute_uv=False
-        )[:, 0]
+        top_singular_values(gather(_ball_table(index, xs, m)))
         for xs in groups
     ])
     order = np.argsort(centers)
@@ -114,20 +121,28 @@ class BlockCompression:
         idx = expand_indices(self.index.balls[x], self.source.m)
         return self.source.data[np.ix_(idx, idx)]
 
+    def _norms(self, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
+        data = self.source.data
+        return _top_singular_values(
+            self.index, groups, self.source.m,
+            lambda idx: data[idx[:, :, None], idx[:, None, :]],
+        )
+
     def norm(self) -> float:
         """Sup over points of the spectral norm of the ball restriction.
 
         A block of a sub-ball is a submatrix of the block of the larger
         ball, so only the inclusion-maximal balls are factorized.
         """
-        _, values = _top_singular_values(self.index.groups, self.block)
+        _, values = self._norms(self.index.groups)
         return float(max(values, default=0.0))
 
     def block_norms(self) -> np.ndarray:
         """Spectral norm of every block, indexed by point."""
         out = np.zeros(self.space.n)
-        groups = size_groups(self.index.balls, range(self.space.n))
-        centers, values = _top_singular_values(groups, self.block)
+        centers, values = self._norms(
+            size_groups(self.index.balls, range(self.space.n))
+        )
         out[centers] = values
         return out
 
@@ -182,17 +197,20 @@ def best_localized_vector(
 
     Restricting a to the columns of a sub-ball gives a submatrix of its
     restriction to the larger ball, so only the inclusion-maximal balls are
-    scanned, through a batched singular value pass.  The winner (smallest
-    center among maximal balls on ties; equal balls count under their
-    smallest center) is solved for its top right singular vector.  A ball
-    inside another never wins a tie: identity on a path at radius 1 picks
-    center 1, not the end point 0.  Raises :class:`ZeroOperator` when the
-    operator kills every ball, which happens exactly when it is zero.
+    scanned, one :func:`top_singular_values` pass per ball size.  The
+    winner (smallest center among maximal balls on ties; equal balls count
+    under their smallest center) is solved for its top right singular
+    vector.  A ball inside another never wins a tie: identity on a path at
+    radius 1 picks center 1, not the end point 0.  Raises
+    :class:`ZeroOperator` when the operator kills every ball, which happens
+    exactly when it is zero.
     """
     n, m = a.n, a.m
     index = _checked_index(a, radius, index)
+    # Each ball's columns are gathered as rows of the transpose, which has
+    # the same singular values.
     centers, norms = _top_singular_values(
-        index.groups, lambda x: a.data[:, expand_indices(index.balls[x], m)]
+        index, index.groups, m, lambda idx: a.data.T[idx]
     )
     if not norms.size or norms.max() == 0.0:
         raise ZeroOperator("operator vanishes on every ball")
@@ -266,19 +284,24 @@ class LocalizationReport:
 
 
 def localization_report(
-    a: BandedOperator, radius: float, norm_method: str = "auto"
+    a: BandedOperator,
+    radius: float,
+    norm_method: str = "auto",
+    index: BallIndex | None = None,
 ) -> LocalizationReport:
     """Compare ball compressions of an operator against its norm.
 
     The widened radius is the localization radius plus the measured
     propagation of the operator.  The chain inequalities are verified with
     ``CHAIN_TOL`` slack and the worst violation is recorded, not raised.
+    ``index`` can carry a prebuilt :func:`ball_index` at the localization
+    radius, as for :func:`compress`.
     """
     norm_a = operator_norm(a, method=norm_method)
     if norm_a == 0.0:
         raise ZeroOperator("cannot profile the zero operator")
     prop = propagation(a)
-    index = ball_index(a.space, radius)
+    index = _checked_index(a, radius, index)
     sq = compress(a, radius, index).norm()
     col_witness = best_localized_vector(a, radius, index)
     col = col_witness.column_norm
@@ -701,15 +724,19 @@ class OnlProfile:
 
 
 def _refine_ratio(
-    space: FiniteMetricSpace,
+    index: BallIndex,
     band_radius: float,
-    loc_radius: float,
     start: BandedOperator,
+    start_ratio: float,
     budget: int,
     rng: np.random.Generator,
 ) -> float:
-    """Greedy coordinate descent pushing sigma_sq down from a start point."""
-    index = ball_index(space, loc_radius)
+    """Greedy coordinate descent pushing sigma_sq down from a start point.
+
+    ``start_ratio`` is the start's own ``sigma_sq`` at the radius of the
+    ball ``index``.
+    """
+    space, loc_radius = index.space, index.radius
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
     mask = space.dist <= band_radius
@@ -721,7 +748,7 @@ def _refine_ratio(
             return np.inf
         return compress(op, loc_radius, index).norm() / norm_a
 
-    best = ratio_of(data)
+    best = start_ratio
     scale = float(np.abs(data).max()) or 1.0
     step = 0.25 * scale
     evals = 0
@@ -775,12 +802,13 @@ def onl_profile(
         raise InvalidParams("need at least one sample")
     rng = np.random.default_rng(seed)
     sample_seeds = rng.integers(0, 2**63 - 1, size=samples)
+    index = ball_index(space, loc_radius)
     reports = []
     ops = []
     for s in sample_seeds:
         op = random_banded(space, band_radius, int(s))
         ops.append(op)
-        reports.append(localization_report(op, loc_radius))
+        reports.append(localization_report(op, loc_radius, index=index))
     ratios = np.array([r.sigma_sq for r in reports])
     worst_sample = float(ratios.min())
     adversarial = worst_sample
@@ -791,11 +819,13 @@ def onl_profile(
             adversarial = min(
                 adversarial,
                 _refine_ratio(
-                    space, band_radius, loc_radius, ops[int(i)], share, rng
+                    index, band_radius, ops[int(i)], float(ratios[i]), share,
+                    rng,
                 ),
             )
     probe_reports = tuple(
-        (name, localization_report(op, loc_radius)) for name, op in probes
+        (name, localization_report(op, loc_radius, index=index))
+        for name, op in probes
     )
     worst = min(
         [adversarial] + [rep.sigma_sq for _, rep in probe_reports]

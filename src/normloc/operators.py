@@ -149,8 +149,9 @@ class BandedOperator:
         if not same_space(self.space, other.space) or self.m != other.m:
             raise DataError("operators live on different spaces")
         # Boolean matrix product: (y, z) may be hit iff some w links them.
+        # A float product runs through BLAS and counts exactly at these sizes.
         support = (
-            self.support.astype(np.int64) @ other.support.astype(np.int64)
+            self.support.astype(np.float64) @ other.support.astype(np.float64)
         ) > 0
         return BandedOperator(self.space, self.m, self.data @ other.data, support)
 
@@ -236,6 +237,37 @@ def max_abs_entry(a: BandedOperator) -> float:
     return float(np.abs(a.data).max())
 
 
+def top_singular_values(stack) -> np.ndarray:
+    """Largest singular value of each matrix in a ``(..., p, q)`` stack.
+
+    Each matrix is first scaled by the exact power of two that brings its
+    largest real or imaginary part into [1/2, 1), so its Gram can neither
+    overflow nor underflow to zero; the value is the square root of the top
+    eigenvalue of the smaller Gram (``M^H M`` or ``M M^H``), scaled back.
+    Raises :class:`DataError` on a NaN or infinite entry.
+    """
+    stack = np.ascontiguousarray(stack)
+    if stack.ndim < 2:
+        raise InvalidParams(f"need a stack of matrices, got shape {stack.shape}")
+    *batch, p, q = stack.shape
+    if stack.size == 0:
+        return np.zeros(batch)
+    parts = stack.reshape(*batch, p * q)
+    if parts.dtype.kind == "c":
+        parts = parts.view(parts.real.dtype)
+    peak = np.maximum(parts.max(axis=-1), -parts.min(axis=-1))
+    if not np.isfinite(peak).all():
+        raise DataError("matrix has NaN or infinite entries")
+    # A subnormal peak is lifted only as far as 2^1020 allows, which still
+    # keeps its Gram clear of underflow.
+    exponent = np.maximum(np.frexp(peak)[1], -1020)
+    scaled = stack * np.ldexp(1.0, -exponent)[..., None, None]
+    adjoint = np.swapaxes(scaled.conj(), -1, -2)
+    gram = adjoint @ scaled if p >= q else scaled @ adjoint
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    return np.ldexp(np.sqrt(top), exponent)
+
+
 def operator_norm(
     a: BandedOperator,
     method: str = "auto",
@@ -259,9 +291,7 @@ def operator_norm(
     if method == "auto":
         method = "dense" if a.data.shape[0] <= DENSE_NORM_LIMIT else "power"
     if method == "dense":
-        if a.data.shape[0] == 0:
-            return 0.0
-        return float(np.linalg.svd(a.data, compute_uv=False)[0])
+        return float(top_singular_values(a.data))
     if method != "power":
         raise InvalidParams(f"unknown norm method {method!r}")
     mat = a.data

@@ -127,8 +127,40 @@ _UNIT_DIAGONAL = [[x, x, 1.0, 0.0] for x in range(3)]
              "subsets": [[[0, 1]], [[1, 1]], [[2, 1]]]},
             "'radius' must be a finite number",
         ),
+        (
+            {"form": "subset", "radius": 1,
+             "subsets": [[[0.9, 1]], [[1, 1]], [[2, 1]]]},
+            "[point, slot]",
+        ),
+        (
+            {"form": "subset", "radius": 1,
+             "subsets": [[[0, 1]], [[1.5, 1]], [[2, 1]]]},
+            "[point, slot]",
+        ),
+        (
+            {"form": "subset", "radius": 1,
+             "subsets": [[[0, 1]], [[1, 1]], [[2, True]]]},
+            "[point, slot]",
+        ),
+        (
+            {"form": "vector", "radius": 1, "entries": [5]},
+            "is not [x, v, slot, re, im]",
+        ),
+        (
+            {"form": "vector", "radius": 1,
+             "entries": [[x, x, 1, "a" if x else 1.0, 0.0] for x in range(3)]},
+            "a coefficient must be a number",
+        ),
+        (
+            {"form": "vector", "radius": 1, "m": "x", "entries": []},
+            "'m' must be an integer",
+        ),
     ],
-    ids=["nan-kernel-pair", "bare-int-member", "string-point", "string-radius"],
+    ids=[
+        "nan-kernel-pair", "bare-int-member", "string-point", "string-radius",
+        "fractional-point", "fractional-point-above-one", "boolean-slot",
+        "bare-int-vector-entry", "string-coefficient", "string-m",
+    ],
 )
 def test_cert_check_malformed_document_exit_3(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"

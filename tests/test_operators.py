@@ -213,3 +213,70 @@ def test_adjoint_preserves_norm(seed):
     c12 = nl.generate_family("cycle", {"n": 12})
     a = nl.random_banded(c12, 2, seed=seed)
     assert abs(nl.operator_norm(a) - nl.operator_norm(a.adjoint())) < 1e-10
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_top_singular_values_match_oracle(c6):
+    rng = np.random.default_rng(11)
+    a2 = nl.random_banded(c6, 1, seed=6, m=2)
+    comp = nl.compress(a2, 1)
+    stacks = {
+        "square": _complex_stack(rng, (5, 9, 9)),
+        "tall": _complex_stack(rng, (5, 12, 5)),
+        "wide": _complex_stack(rng, (5, 5, 12)),
+        "real": rng.standard_normal((5, 7, 7)),
+        "zero": np.zeros((3, 6, 6), dtype=complex),
+        "m=2": np.stack([comp.block(x) for x in range(c6.n)]),
+    }
+    for name, stack in stacks.items():
+        got = nl.top_singular_values(stack)
+        assert got.shape == stack.shape[:-2], name
+        for value, matrix in zip(got, stack):
+            reference = dense_norm(matrix)
+            assert abs(value - reference) <= 1e-13 * reference, name
+    matrix = stacks["tall"][0]
+    assert nl.top_singular_values(matrix).shape == ()
+    assert abs(nl.top_singular_values(matrix) - dense_norm(matrix)) <= (
+        1e-13 * dense_norm(matrix)
+    )
+    assert nl.top_singular_values(np.zeros((4, 0, 3))).tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+def test_norms_scale_across_the_float_range(scale):
+    # Without scaling inside the kernel, the Gram of these operators
+    # underflows to zero or overflows.
+    c12 = nl.generate_family("cycle", {"n": 12})
+    a = nl.random_banded(c12, 1, seed=5)
+    scaled = a * scale
+    pairs = [
+        (nl.operator_norm(scaled), nl.operator_norm(a)),
+        (nl.compress(scaled, 2).norm(), nl.compress(a, 2).norm()),
+        (
+            nl.best_localized_vector(scaled, 2).column_norm,
+            nl.best_localized_vector(a, 2).column_norm,
+        ),
+    ]
+    for got, unit in pairs:
+        assert unit > 0
+        assert abs(got - scale * unit) <= 1e-13 * scale * unit
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+def test_non_finite_entries_raise_data_error(c6, bad):
+    stack = np.ones((2, 3, 3), dtype=complex)
+    stack[1, 2, 0] = bad
+    with pytest.raises(nl.DataError):
+        nl.top_singular_values(stack)
+    data = nl.adjacency(c6).to_dense()
+    data[0, 1] = bad
+    a = nl.BandedOperator(c6, 1, data)
+    with pytest.raises(nl.DataError):
+        nl.operator_norm(a, method="dense")
+    with pytest.raises(nl.DataError):
+        nl.compress(a, 1).norm()
+    with pytest.raises(nl.DataError):
+        nl.best_localized_vector(a, 1)
