@@ -18,7 +18,6 @@ from .certificates import (
     kernel_deviation,
     subset_to_vector,
     tree_ray_certificate,
-    vector_deviation,
     vector_to_kernel,
 )
 from .duality import (
@@ -74,15 +73,14 @@ from .operators import (
     BandedOperator,
     adjacency,
     identity,
-    matrix_unit,
     max_abs_entry,
     operator_from_json,
     operator_norm,
     operator_to_json,
     propagation,
     random_banded,
+    top_singular_pair,
     top_singular_values,
-    truncate_to_band,
 )
 from .space import (
     BallIndex,

@@ -26,12 +26,21 @@ from .errors import (
     EmptySubset,
     FormatError,
     InvalidParams,
+    InvalidRadii,
     NotATree,
     NotHermitian,
     UnknownPoint,
     VerificationError,
 )
-from .space import FiniteMetricSpace, check_point, space_from_json, space_to_json
+from .space import (
+    FiniteMetricSpace,
+    _integer,
+    _number,
+    _records,
+    check_point,
+    space_from_json,
+    space_to_json,
+)
 
 # A claimed unit vector may miss 1 by at most this much in squared norm.
 UNIT_NORM_TOL = 1e-12
@@ -281,6 +290,29 @@ def subset_to_vector(cert: SubsetCertificate) -> VectorCertificate:
     )
 
 
+# Certificate constructions that can be named instead of read from a file.
+CERTIFICATE_SOURCES = ("ball", "tree_ray")
+
+
+def named_certificate(
+    space: FiniteMetricSpace, source: str, loc_radius: float
+) -> VectorCertificate:
+    """Vector certificate from ``"ball"`` (normalized ball indicators) or
+    ``"tree_ray"`` (root-directed rays as long as the radius, which must be
+    an integer >= 1, else :class:`InvalidRadii`); other names raise
+    :class:`InvalidParams`.
+    """
+    if source == "ball":
+        return subset_to_vector(ball_certificate(space, loc_radius))
+    if source == "tree_ray":
+        if int(loc_radius) != loc_radius or loc_radius < 1:
+            raise InvalidRadii(
+                "tree_ray needs an integer localization radius >= 1"
+            )
+        return subset_to_vector(tree_ray_certificate(space, int(loc_radius)))
+    raise InvalidParams(f"unknown certificate source {source!r}")
+
+
 def vector_to_kernel(cert: VectorCertificate) -> KernelCertificate:
     """Gram kernel of a vector certificate; propagation at most 2 * radius."""
     return KernelCertificate(
@@ -295,17 +327,6 @@ def kernel_deviation(cert: KernelCertificate, radius: float) -> float:
     """max |1 - k(y, z)| over pairs at distance <= radius."""
     band = cert.space.dist <= radius
     return float(np.abs(1.0 - cert.table[band]).max())
-
-
-def vector_deviation(cert: VectorCertificate, radius: float) -> float:
-    """max ||xi_y - xi_z|| over pairs at distance <= radius."""
-    n = cert.space.n
-    flat = cert.vectors.reshape(n, -1)
-    worst = 0.0
-    for y, z in np.argwhere(cert.space.dist <= radius):
-        if y < z:
-            worst = max(worst, float(np.linalg.norm(flat[y] - flat[z])))
-    return worst
 
 
 def check_positive_definite(
@@ -402,31 +423,6 @@ def certificate_to_json(cert, include_space: bool = True) -> dict:
     if include_space:
         out["space"] = space_to_json(cert.space)
     return out
-
-
-def _integer(value, what: str) -> int:
-    """A JSON integer field, refusing floats, booleans and strings."""
-    if type(value) is not int:
-        raise FormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """A JSON number field, refusing booleans and strings."""
-    if type(value) not in (int, float):
-        raise FormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _records(obj: dict, width: int, layout: str) -> list:
-    """The 'entries' list, each entry a list of ``width`` fields."""
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
-        raise FormatError("'entries' must be a list")
-    for rec in entries:
-        if not isinstance(rec, list) or len(rec) != width:
-            raise FormatError(f"entry {rec!r} is not {layout}")
-    return entries
 
 
 def certificate_from_json(obj: dict, space: FiniteMetricSpace | None = None):

@@ -27,6 +27,7 @@ from . import duality, localization, operators, space as spaces
 from .errors import (
     ConvergenceFailure,
     DataError,
+    InvalidRadii,
     NormlocError,
     VerificationError,
 )
@@ -78,16 +79,11 @@ def _require(condition: bool, message: str) -> None:
 
 def _load_certificate(source: str, space, loc_radius):
     """Certificate from a named construction or a JSON file."""
-    if source == "ball":
-        return certs.subset_to_vector(certs.ball_certificate(space, loc_radius))
-    if source == "tree_ray":
-        _require(
-            float(loc_radius) == int(loc_radius) and loc_radius >= 1,
-            "tree_ray needs an integer localization radius >= 1",
-        )
-        return certs.subset_to_vector(
-            certs.tree_ray_certificate(space, int(loc_radius))
-        )
+    if source in certs.CERTIFICATE_SOURCES:
+        try:
+            return certs.named_certificate(space, source, loc_radius)
+        except InvalidRadii as exc:
+            raise UsageError(str(exc)) from None
     loaded = certs.certificate_from_json(_read_json(source))
     if isinstance(loaded, certs.SubsetCertificate):
         loaded = certs.subset_to_vector(loaded)
@@ -266,7 +262,7 @@ def cmd_cert_check(args) -> int:
 def cmd_equiv_run(args) -> int:
     sp = _load_space(args.space)
     certificate = args.certificate
-    if certificate not in ("ball", "tree_ray"):
+    if certificate not in certs.CERTIFICATE_SOURCES:
         certificate = _load_certificate(certificate, sp, args.loc_radius)
     report = duality.equivalence_experiment(
         sp,

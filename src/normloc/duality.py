@@ -30,9 +30,7 @@ from .certificates import (
     VectorCertificate,
     kernel_checks,
     kernel_deviation,
-    subset_to_vector,
-    ball_certificate,
-    tree_ray_certificate,
+    named_certificate,
     vector_to_kernel,
 )
 from .errors import (
@@ -208,7 +206,6 @@ def a_implies_onl_bound(
     samples: int = 0,
     seed: int = 0,
     slack: float = 1e-9,
-    norm_method: str = "auto",
 ) -> OnlBound:
     """Quantitative lower bound on compression norms from a certificate.
 
@@ -249,9 +246,9 @@ def a_implies_onl_bound(
         child_seeds = rng.integers(0, 2**63 - 1, size=samples)
         for s in child_seeds:
             a = random_banded(space, band_radius, int(s))
-            norm_a = operator_norm(a, method=norm_method)
+            norm_a = operator_norm(a)
             compressed = compress(a, certificate.radius, index)
-            moved = operator_norm(a - phi_apply(cp, compressed), method=norm_method)
+            moved = operator_norm(a - phi_apply(cp, compressed))
             loc = compressed.norm()
             multiplier_ok = moved <= epsilon * norm_a + slack
             lower_ok = (1.0 - epsilon) * norm_a <= loc + slack
@@ -527,24 +524,15 @@ def equivalence_experiment(
 ) -> EquivalenceReport:
     """Run the full pipeline: certificate, bound, multiplier, kernel, search.
 
-    ``certificate`` picks the construction: ``"ball"`` (normalized ball
-    indicators), ``"tree_ray"`` (root-directed rays of length equal to the
-    localization radius) or an explicit :class:`VectorCertificate` at the
-    localization radius.  The experiment always completes; when the
-    certified bound is vacuous or the radii leave nothing to localize, it
-    says so in ``warnings`` instead of failing.
+    ``certificate`` is a source name for :func:`named_certificate` or an
+    explicit :class:`VectorCertificate` at the localization radius.  The
+    experiment always completes; when the certified bound is vacuous or the
+    radii leave nothing to localize, it says so in ``warnings`` instead of
+    failing.
     """
     warnings = []
     origin = certificate if isinstance(certificate, str) else "custom"
-    if certificate == "ball":
-        cert = subset_to_vector(ball_certificate(space, loc_radius))
-    elif certificate == "tree_ray":
-        if int(loc_radius) != loc_radius or loc_radius < 1:
-            raise InvalidParams(
-                "tree_ray needs an integer localization radius >= 1"
-            )
-        cert = subset_to_vector(tree_ray_certificate(space, int(loc_radius)))
-    elif isinstance(certificate, VectorCertificate):
+    if isinstance(certificate, VectorCertificate):
         cert = certificate
         if cert.radius != loc_radius:
             raise InvalidParams(
@@ -552,7 +540,7 @@ def equivalence_experiment(
                 f"localization radius {loc_radius}"
             )
     else:
-        raise InvalidParams(f"unknown certificate source {certificate!r}")
+        cert = named_certificate(space, certificate, loc_radius)
     bound = a_implies_onl_bound(cert, band_radius, samples=samples, seed=seed)
     if bound.vacuous:
         warnings.append(

@@ -33,12 +33,12 @@ from .errors import (
     ZeroOperator,
 )
 from .operators import (
-    DENSE_NORM_LIMIT,
     BandedOperator,
     operator_norm,
     propagation,
     random_banded,
     same_space,
+    top_singular_pair,
     top_singular_values,
 )
 from .space import (
@@ -199,9 +199,10 @@ def best_localized_vector(
     restriction to the larger ball, so only the inclusion-maximal balls are
     scanned, one :func:`top_singular_values` pass per ball size.  The
     winner (smallest center among maximal balls on ties; equal balls count
-    under their smallest center) is solved for its top right singular
-    vector.  A ball inside another never wins a tie: identity on a path at
-    radius 1 picks center 1, not the end point 0.  Raises
+    under their smallest center) takes its vector from
+    :func:`top_singular_pair`.  A ball inside another never wins a tie:
+    identity on a path at radius 1 picks center 1, not the end point 0.
+    Raises
     :class:`ZeroOperator` when the operator kills every ball, which happens
     exactly when it is zero.
     """
@@ -217,10 +218,8 @@ def best_localized_vector(
     best = int(np.argmax(norms))
     center = int(centers[best])
     cols = expand_indices(index.balls[center], m)
-    _, _, vh = np.linalg.svd(a.data[:, cols])
-    local = vh[0].conj()
     vec = np.zeros(n * m, dtype=np.complex128)
-    vec[cols] = local
+    vec[cols] = top_singular_pair(a.data[:, cols])[1]
     return ColumnWitness(
         center=center,
         points=np.asarray(index.balls[center], dtype=np.int64),
@@ -284,10 +283,7 @@ class LocalizationReport:
 
 
 def localization_report(
-    a: BandedOperator,
-    radius: float,
-    norm_method: str = "auto",
-    index: BallIndex | None = None,
+    a: BandedOperator, radius: float, index: BallIndex | None = None
 ) -> LocalizationReport:
     """Compare ball compressions of an operator against its norm.
 
@@ -297,7 +293,7 @@ def localization_report(
     ``index`` can carry a prebuilt :func:`ball_index` at the localization
     radius, as for :func:`compress`.
     """
-    norm_a = operator_norm(a, method=norm_method)
+    norm_a = operator_norm(a)
     if norm_a == 0.0:
         raise ZeroOperator("cannot profile the zero operator")
     prop = propagation(a)
@@ -436,7 +432,7 @@ def _shell_split(
 
 
 def power_trick_witness(
-    a: BandedOperator, radius: float, power: int, norm_method: str = "auto"
+    a: BandedOperator, radius: float, power: int
 ) -> PowerWitness:
     """Localized vector with norm ratio at least the power-th root.
 
@@ -476,7 +472,7 @@ def power_trick_witness(
     power = int(power)
     if power < 1:
         raise InvalidParams(f"power must be >= 1, got {power}")
-    norm_a = operator_norm(a, method=norm_method)
+    norm_a = operator_norm(a)
     if norm_a == 0.0:
         raise ZeroOperator("power trick needs a nonzero operator")
     unit = a * (1.0 / norm_a)
@@ -577,37 +573,12 @@ class ReductionResult:
     achieved_fraction: float
 
 
-def _top_right_vector(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    # (largest singular value, attaining unit right vector)
-    if mat.shape[0] <= DENSE_NORM_LIMIT:
-        _, svals, vh = np.linalg.svd(mat)
-        return float(svals[0]), vh[0].conj()
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
-    x /= np.linalg.norm(x)
-    adj = mat.conj().T
-    lam_prev = -1.0
-    for _ in range(10_000):
-        w = mat @ x
-        lam = float(np.linalg.norm(w) ** 2)
-        if lam == 0.0 or abs(lam - lam_prev) <= 1e-12 * lam:
-            return float(np.sqrt(lam)), x
-        lam_prev = lam
-        x = adj @ w
-        x /= np.linalg.norm(x)
-    return float(np.sqrt(lam_prev)), x
-
-
 def _unit_fibers(flat: np.ndarray, n: int, m: int) -> np.ndarray:
-    fibers = flat.reshape(n, m).copy()
-    norms = np.linalg.norm(fibers, axis=1)
-    for x in range(n):
-        if norms[x] == 0.0:
-            fibers[x] = 0.0
-            fibers[x, 0] = 1.0
-        else:
-            fibers[x] /= norms[x]
-    return fibers
+    # A zero fiber becomes the first slot's basis vector.
+    fibers = flat.reshape(n, m)
+    norms = np.linalg.norm(fibers, axis=1, keepdims=True)
+    nonzero = norms > 0
+    return np.where(nonzero, fibers / np.where(nonzero, norms, 1.0), np.eye(1, m))
 
 
 def vector_amplification_reduction(a: BandedOperator) -> ReductionResult:
@@ -620,10 +591,11 @@ def vector_amplification_reduction(a: BandedOperator) -> ReductionResult:
     compression, while the top singular pair survives by construction.
     """
     n, m = a.n, a.m
-    sigma, right = _top_right_vector(a.data)
+    sigma, right = top_singular_pair(a.data)
     if sigma == 0.0:
         raise ZeroOperator("cannot reduce the zero operator")
-    image = a.data @ right
+    # Divided by sigma, so the fiber norms neither underflow nor overflow.
+    image = (a.data @ right) / sigma
     v_fibers = _unit_fibers(right, n, m)
     w_fibers = _unit_fibers(image, n, m)
     blocks = a.data.reshape(n, m, n, m)

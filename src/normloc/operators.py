@@ -21,11 +21,23 @@ from .errors import (
     InvalidParams,
     UnknownPoint,
 )
-from .space import FiniteMetricSpace, check_point, space_from_json, space_to_json
+from .space import (
+    FiniteMetricSpace,
+    _integer,
+    _number,
+    _records,
+    check_point,
+    space_from_json,
+    space_to_json,
+)
 
 # Dense spectral norms are cheap up to this matrix side; beyond it the
 # default method switches to power iteration.
 DENSE_NORM_LIMIT = 512
+# Power iteration stops at this relative tolerance on the extrapolated
+# remaining Ritz gain, and raises past this many steps.
+POWER_TOL = 1e-10
+POWER_STEP_CAP = 10_000
 
 
 def same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> bool:
@@ -166,17 +178,6 @@ def identity(space: FiniteMetricSpace, m: int = 1) -> BandedOperator:
     return BandedOperator(space, m, np.eye(n * m), np.eye(n, dtype=bool))
 
 
-def matrix_unit(space: FiniteMetricSpace, y: int, z: int) -> BandedOperator:
-    """The rank-one operator sending the basis vector at z to the one at y."""
-    y = check_point(space, y)
-    z = check_point(space, z)
-    data = np.zeros((space.n, space.n), dtype=np.complex128)
-    data[y, z] = 1.0
-    support = np.zeros((space.n, space.n), dtype=bool)
-    support[y, z] = True
-    return BandedOperator(space, 1, data, support)
-
-
 def adjacency(space: FiniteMetricSpace) -> BandedOperator:
     """0/1 operator with a one wherever two points are at distance one."""
     mask = space.dist == 1
@@ -212,17 +213,6 @@ def random_banded(
     return BandedOperator(space, m, data, mask)
 
 
-def truncate_to_band(a: BandedOperator, radius: float) -> BandedOperator:
-    """Zero out every block at distance beyond the radius."""
-    if radius < 0:
-        raise InvalidParams(f"band radius must be nonnegative, got {radius}")
-    keep = a.space.dist <= radius
-    m = a.m
-    expanded = np.kron(keep, np.ones((m, m), dtype=bool))
-    data = np.where(expanded, a.data, 0.0)
-    return BandedOperator(a.space, m, data, a.support & keep)
-
-
 def propagation(a: BandedOperator):
     """Largest distance carrying a numerically nonzero block (0 if none)."""
     n, m = a.n, a.m
@@ -237,6 +227,21 @@ def max_abs_entry(a: BandedOperator) -> float:
     return float(np.abs(a.data).max())
 
 
+def _scale_by_powers_of_two(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scaled nonempty stack, exponents), as in :func:`top_singular_values`."""
+    *batch, p, q = stack.shape
+    parts = np.ascontiguousarray(stack).reshape(*batch, p * q)
+    if parts.dtype.kind == "c":
+        parts = parts.view(parts.real.dtype)
+    peak = np.maximum(parts.max(axis=-1), -parts.min(axis=-1))
+    if not np.isfinite(peak).all():
+        raise DataError("matrix has NaN or infinite entries")
+    # A subnormal peak is lifted only as far as 2^1020 allows, which still
+    # keeps its Gram clear of underflow.
+    exponent = np.maximum(np.frexp(peak)[1], -1020)
+    return stack * np.ldexp(1.0, -exponent)[..., None, None], exponent
+
+
 def top_singular_values(stack) -> np.ndarray:
     """Largest singular value of each matrix in a ``(..., p, q)`` stack.
 
@@ -246,47 +251,106 @@ def top_singular_values(stack) -> np.ndarray:
     eigenvalue of the smaller Gram (``M^H M`` or ``M M^H``), scaled back.
     Raises :class:`DataError` on a NaN or infinite entry.
     """
-    stack = np.ascontiguousarray(stack)
+    stack = np.asarray(stack)
     if stack.ndim < 2:
         raise InvalidParams(f"need a stack of matrices, got shape {stack.shape}")
     *batch, p, q = stack.shape
     if stack.size == 0:
         return np.zeros(batch)
-    parts = stack.reshape(*batch, p * q)
-    if parts.dtype.kind == "c":
-        parts = parts.view(parts.real.dtype)
-    peak = np.maximum(parts.max(axis=-1), -parts.min(axis=-1))
-    if not np.isfinite(peak).all():
-        raise DataError("matrix has NaN or infinite entries")
-    # A subnormal peak is lifted only as far as 2^1020 allows, which still
-    # keeps its Gram clear of underflow.
-    exponent = np.maximum(np.frexp(peak)[1], -1020)
-    scaled = stack * np.ldexp(1.0, -exponent)[..., None, None]
+    scaled, exponent = _scale_by_powers_of_two(stack)
     adjoint = np.swapaxes(scaled.conj(), -1, -2)
     gram = adjoint @ scaled if p >= q else scaled @ adjoint
     top = np.linalg.eigvalsh(gram)[..., -1]
     return np.ldexp(np.sqrt(top), exponent)
 
 
-def operator_norm(
-    a: BandedOperator,
-    method: str = "auto",
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> float:
+def top_singular_pair(mat) -> tuple[float, np.ndarray]:
+    """Largest singular value of one matrix and a unit right vector attaining it.
+
+    Scaled as in :func:`top_singular_values`.  Up to ``DENSE_NORM_LIMIT``
+    on the smaller side the pair is the top ``eigh`` pair of the smaller
+    Gram (``M^H u``, normalized, when that is ``M M^H``); beyond it, block
+    power iteration (:func:`_block_power`).  A zero matrix gives 0 and the
+    first basis vector.
+    """
+    mat = np.asarray(mat)
+    if mat.ndim != 2:
+        raise InvalidParams(f"need one matrix, got shape {mat.shape}")
+    return _top_pair(mat, iterate=min(mat.shape) > DENSE_NORM_LIMIT)
+
+
+def _top_pair(mat: np.ndarray, iterate: bool) -> tuple[float, np.ndarray]:
+    q = mat.shape[1]
+    if not mat.any():
+        return 0.0, np.eye(q, 1, dtype=np.complex128).ravel()
+    scaled, exponent = _scale_by_powers_of_two(mat)
+    adjoint = scaled.conj().T
+    if iterate:
+        top, right = _block_power(scaled, adjoint)
+    elif mat.shape[0] >= q:
+        values, vectors = np.linalg.eigh(adjoint @ scaled)
+        top, right = values[-1], vectors[:, -1]
+    else:
+        values, vectors = np.linalg.eigh(scaled @ adjoint)
+        top, right = values[-1], adjoint @ vectors[:, -1]
+        right /= np.linalg.norm(right)
+    return float(np.ldexp(np.sqrt(top), exponent)), right
+
+
+def _block_power(mat: np.ndarray, adj: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenpair of ``M^H M`` by block power iteration (``adj = M^H``).
+
+    A fixed seeded block of 4 is reorthonormalized each step; the top Ritz
+    value converges at a rate set by the fifth singular value, so nearly
+    degenerate leading pairs, which stall the single-vector iteration
+    beyond any reasonable cap, are harmless.  The Ritz pair comes from
+    ``eigh`` of the block image's Gram.  Iteration stops when the geometric
+    extrapolation of the remaining Ritz gain drops below ``POWER_TOL``
+    relative (the raw successive difference systematically under-reports
+    the error), or when the sequence wiggles at rounding level.  Raises
+    :class:`ConvergenceFailure` past ``POWER_STEP_CAP`` steps.
+    """
+    q = mat.shape[1]
+    rng = np.random.default_rng(0)
+    block = min(4, q)
+    x = rng.standard_normal((q, block)) + 1j * rng.standard_normal((q, block))
+    x, _ = np.linalg.qr(x)
+    lam_prev = None
+    diff_prev = None
+    floor_hits = 0
+    noise = 8.0 * np.finfo(np.float64).eps
+    for _ in range(POWER_STEP_CAP):
+        w = mat @ x
+        values, vectors = np.linalg.eigh(w.conj().T @ w)
+        lam = float(values[-1])
+        done = False
+        if lam_prev is not None:
+            diff = abs(lam - lam_prev)
+            # Rounding-level wiggle for several steps means the sequence is
+            # converged to machine precision, far below any useful tol.
+            floor_hits = floor_hits + 1 if diff <= noise * lam else 0
+            done = diff == 0.0 or floor_hits >= 3
+            if not done and diff_prev is not None and diff < diff_prev:
+                # Ritz gains decay geometrically; summing the tail bounds
+                # what is left.
+                rate = diff / diff_prev
+                done = diff * rate / (1.0 - rate) <= POWER_TOL * lam
+            diff_prev = diff
+        if done:
+            return lam, x @ vectors[:, -1]
+        lam_prev = lam
+        x, _ = np.linalg.qr(adj @ w)
+    raise ConvergenceFailure(
+        f"power iteration did not stabilize in {POWER_STEP_CAP} steps"
+    )
+
+
+def operator_norm(a: BandedOperator, method: str = "auto") -> float:
     """Operator (spectral) norm.
 
-    ``dense`` computes the largest singular value directly.  ``power`` runs
-    block power iteration on the normal matrix (a fixed seeded block of 4,
-    reorthonormalized each step); the top Ritz value converges at a rate
-    set by the fifth singular value, so nearly degenerate leading pairs,
-    which stall the single-vector iteration beyond any reasonable cap, are
-    harmless.  Iteration stops when the geometric extrapolation of the
-    remaining Ritz gain drops below ``tol`` relative (the raw successive
-    difference systematically under-reports the error), or when the
-    sequence wiggles at rounding level.  Raises
-    :class:`ConvergenceFailure` past ``max_iter`` steps.  ``auto`` picks
-    ``dense`` up to side ``DENSE_NORM_LIMIT``.
+    ``dense`` takes :func:`top_singular_values`; ``power`` takes the value
+    of the block power iteration behind :func:`top_singular_pair`.
+    ``auto`` picks ``dense`` up to side ``DENSE_NORM_LIMIT``.
     """
     if method == "auto":
         method = "dense" if a.data.shape[0] <= DENSE_NORM_LIMIT else "power"
@@ -294,49 +358,7 @@ def operator_norm(
         return float(top_singular_values(a.data))
     if method != "power":
         raise InvalidParams(f"unknown norm method {method!r}")
-    mat = a.data
-    size = mat.shape[0]
-    if size == 0 or not mat.any():
-        return 0.0
-    rng = np.random.default_rng(0)
-    block = min(4, size)
-    x = rng.standard_normal((size, block)) + 1j * rng.standard_normal(
-        (size, block)
-    )
-    x, _ = np.linalg.qr(x)
-    adj = mat.conj().T
-    lam_prev = None
-    diff_prev = None
-    floor_hits = 0
-    noise = 8.0 * np.finfo(np.float64).eps
-    for _ in range(max_iter):
-        w = mat @ x
-        # Top Ritz value of the normal matrix on the current block.
-        lam = float(np.linalg.svd(w, compute_uv=False)[0] ** 2)
-        if lam == 0.0:
-            return 0.0
-        if lam_prev is not None:
-            diff = abs(lam - lam_prev)
-            if diff == 0.0:
-                return float(np.sqrt(lam))
-            # Rounding-level wiggle for several steps means the sequence is
-            # converged to machine precision, far below any useful tol.
-            floor_hits = floor_hits + 1 if diff <= noise * lam else 0
-            if floor_hits >= 3:
-                return float(np.sqrt(lam))
-            if diff_prev is not None and diff < diff_prev:
-                # Ritz gains decay geometrically; summing the tail bounds
-                # what is left.
-                rate = diff / diff_prev
-                remaining = diff * rate / (1.0 - rate)
-                if remaining <= tol * lam:
-                    return float(np.sqrt(lam))
-            diff_prev = diff
-        lam_prev = lam
-        x, _ = np.linalg.qr(adj @ w)
-    raise ConvergenceFailure(
-        f"power iteration did not stabilize in {max_iter} steps"
-    )
+    return _top_pair(a.data, iterate=True)[0]
 
 
 def operator_to_json(a: BandedOperator, include_space: bool = True) -> dict:
@@ -382,39 +404,27 @@ def operator_from_json(
         if "space" not in obj:
             raise FormatError("operator document needs an embedded 'space'")
         space = space_from_json(obj["space"])
-    m = int(obj.get("m", 1))
+    m = _integer(obj.get("m", 1), "'m'")
     if m < 1:
         raise FormatError(f"slot count must be >= 1, got {m}")
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
-        raise FormatError("'entries' must be a list")
     n = space.n
     data = np.zeros((n * m, n * m), dtype=np.complex128)
-    for rec in entries:
-        if m == 1:
-            if len(rec) != 4:
-                raise FormatError(f"entry {rec!r} is not [y, z, re, im]")
-            y, z, re, im = rec
-            if not (0 <= int(y) < n and 0 <= int(z) < n):
-                raise UnknownPoint(
-                    f"entry at ({y}, {z}) outside space of size {n}"
-                )
-            data[int(y), int(z)] = float(re) + 1j * float(im)
-        else:
-            if len(rec) != 3:
-                raise FormatError(f"entry {rec!r} is not [y, z, block]")
-            y, z, block = rec
-            if not (0 <= int(y) < n and 0 <= int(z) < n):
-                raise UnknownPoint(
-                    f"entry at ({y}, {z}) outside space of size {n}"
-                )
-            arr = np.array(
-                [[complex(v[0], v[1]) for v in row] for row in block]
+    width, layout = (4, "[y, z, re, im]") if m == 1 else (3, "[y, z, block]")
+    for rec in _records(obj, width, layout):
+        y, z = (_integer(f, "an operator index") for f in rec[:2])
+        if not (0 <= y < n and 0 <= z < n):
+            raise UnknownPoint(f"entry at ({y}, {z}) outside space of size {n}")
+        try:
+            block = np.array([
+                [_number(re, "a coefficient") + 1j * _number(im, "a coefficient")
+                 for re, im in row]
+                for row in ([[rec[2:]]] if m == 1 else rec[2])
+            ])
+        except (TypeError, ValueError):
+            block = None
+        if block is None or block.shape != (m, m):
+            raise FormatError(
+                f"block at ({y}, {z}) is not {m} rows of {m} [re, im] pairs"
             )
-            if arr.shape != (m, m):
-                raise FormatError(
-                    f"block at ({y}, {z}) has shape {arr.shape}, wanted ({m}, {m})"
-                )
-            y, z = int(y), int(z)
-            data[y * m : (y + 1) * m, z * m : (z + 1) * m] = arr
+        data[y * m : (y + 1) * m, z * m : (z + 1) * m] = block
     return BandedOperator(space, m, data)

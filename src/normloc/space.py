@@ -385,6 +385,31 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer field, refusing floats, booleans and strings."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number field, refusing booleans and strings."""
+    if type(value) not in (int, float):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _records(obj: dict, width: int, layout: str) -> list:
+    """The 'entries' list, each entry a list of ``width`` fields."""
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
+        raise FormatError("'entries' must be a list")
+    for rec in entries:
+        if not isinstance(rec, list) or len(rec) != width:
+            raise FormatError(f"entry {rec!r} is not {layout}")
+    return entries
+
+
 def space_from_json(obj: dict) -> FiniteMetricSpace:
     """Read a space from either a distance table dict or a graph dict.
 

@@ -72,6 +72,13 @@ def maximal_ball_centers(space, radius: float) -> list:
     ]
 
 
+def matrix_unit(space, y: int, z: int):
+    """The rank-one operator sending the basis vector at z to the one at y."""
+    data = np.zeros((space.n, space.n), dtype=np.complex128)
+    data[nl.space.check_point(space, y), nl.space.check_point(space, z)] = 1.0
+    return nl.BandedOperator(space, 1, data)
+
+
 def literal_kernel_from_cp_map(cp) -> np.ndarray:
     """Kernel table of a multiplier, one matrix unit at a time (O(n^4)).
 
@@ -84,7 +91,7 @@ def literal_kernel_from_cp_map(cp) -> np.ndarray:
     table = np.zeros((n, n), dtype=np.complex128)
     for y in range(n):
         for z in range(n):
-            unit = nl.matrix_unit(space, y, z)
+            unit = matrix_unit(space, y, z)
             image = nl.phi_apply(cp, nl.compress(unit, cp.radius, index))
             table[y, z] = image.entry(y, z)
     return table

@@ -21,6 +21,7 @@ from helpers import (
     edges_of,
     floyd_warshall,
     literal_kernel_from_cp_map,
+    matrix_unit,
 )
 from normloc.cli import main as cli_main
 
@@ -272,7 +273,7 @@ def test_criterion_08_extracted_kernels(c60, btree6):
         for _ in range(200):
             y, z = rng.integers(0, sp.n, size=2)
             unit_zero = nl.compress(
-                nl.matrix_unit(sp, int(y), int(z)), cert.radius
+                matrix_unit(sp, int(y), int(z)), cert.radius
             ).is_zero()
             if unit_zero != (not cp.overlap[y, z]):
                 problems.append(f"{label}: overlap mask wrong at {(y, z)}")

@@ -103,7 +103,6 @@ def test_tree_ray_certificate_overlaps():
     for y, z in np.argwhere(bt.dist == 1):
         if y < z:
             assert vec.exact_gram[y][z] == Fraction(3, 4)
-    assert abs(nl.vector_deviation(vec, 1) - math.sqrt(2 / 4)) < 1e-12
 
 
 def test_tree_ray_depth_shallower_than_ray():
@@ -131,12 +130,10 @@ def test_vector_to_kernel(c6):
     assert ok and low > -1e-10
 
 
-def test_kernel_deviation_and_vector_deviation(c6):
+def test_kernel_deviation(c6):
     vec = nl.subset_to_vector(nl.ball_certificate(c6, 1))
     kern = nl.vector_to_kernel(vec)
     assert abs(nl.kernel_deviation(kern, 1) - 1 / 3) < 1e-15
-    # ||xi_y - xi_z||^2 = 2 - 2 <xi_y, xi_z> for unit real vectors
-    assert abs(nl.vector_deviation(vec, 1) - math.sqrt(2 / 3)) < 1e-12
 
 
 def test_kernel_certificate_rejects_entries_beyond_radius(c6):

@@ -289,6 +289,20 @@ def test_equiv_run_deterministic(tmp_path, capsys):
     assert doc["kernel_checks"]["matches_gram"] is True
 
 
+def test_named_tree_ray_certificate_needs_integer_radius(tmp_path, capsys):
+    # one dispatch builds named certificates for both commands; each keeps
+    # its exit code for a radius the tree-ray source cannot take
+    path = _space_file(tmp_path)
+    common = ["--space", path, "--band-radius", "1", "--loc-radius", "2.5",
+              "--certificate", "tree_ray", "--seed", "0",
+              "--out", str(tmp_path / "r")]
+    message = "tree_ray needs an integer localization radius >= 1"
+    assert main(["onl", "profile", "--samples", "2"] + common) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert main(["equiv", "run", "--samples", "2"] + common) == 3
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_equiv_run_certificate_file_radius_mismatch(tmp_path):
     path = _space_file(tmp_path)
     cert_path = str(tmp_path / "cert.json")

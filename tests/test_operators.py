@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normloc as nl
-from helpers import dense_norm
+from helpers import dense_norm, matrix_unit
 
 
 def test_adjacency_structure(c6):
@@ -20,17 +21,17 @@ def test_adjacency_structure(c6):
 def test_identity_and_matrix_unit(c6):
     one = nl.identity(c6)
     assert np.array_equal(one.to_dense(), np.eye(6))
-    e = nl.matrix_unit(c6, 1, 4)
+    e = matrix_unit(c6, 1, 4)
     assert e.entry(1, 4) == 1
     assert e.data.sum() == 1
     assert nl.propagation(e) == 3
     with pytest.raises(nl.UnknownPoint):
-        nl.matrix_unit(c6, 0, 6)
+        matrix_unit(c6, 0, 6)
 
 
 def test_arithmetic_and_supports(c6):
     a = nl.adjacency(c6)
-    e = nl.matrix_unit(c6, 0, 3)
+    e = matrix_unit(c6, 0, 3)
     s = a + e
     assert s.support[0, 3]
     assert s.support[0, 1]
@@ -112,15 +113,6 @@ def test_random_banded_multislot(c6):
         a.entry(0, 1)
 
 
-def test_truncate_to_band(c6):
-    a = nl.random_banded(c6, 3, seed=7)
-    t = nl.truncate_to_band(a, 1)
-    assert nl.propagation(t) == 1
-    keep = c6.dist <= 1
-    assert np.array_equal(t.to_dense()[keep], a.to_dense()[keep])
-    assert not t.to_dense()[~keep].any()
-
-
 def test_propagation_of_zero_is_zero(c6):
     z = nl.BandedOperator(c6, 1, np.zeros((6, 6)))
     assert nl.propagation(z) == 0
@@ -195,6 +187,23 @@ def test_operator_json_rejects_out_of_range(c6):
         nl.operator_from_json({"entries": []})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"m": "x", "entries": []},
+        {"m": 1, "entries": [5]},
+        {"m": 1, "entries": [[0, 1, "a", 0.0]]},
+        {"m": 1, "entries": [[0.5, 1, 1.0, 0.0]]},
+        {"m": 2, "entries": [[0, 1, [[[1.0, 0.0]]]]]},
+    ],
+    ids=["string-m", "bare-int-entry", "string-coefficient",
+         "fractional-index", "short-block"],
+)
+def test_operator_json_rejects_malformed(c6, doc):
+    with pytest.raises(nl.FormatError):
+        nl.operator_from_json(doc, space=c6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_norm_is_subadditive_and_submultiplicative(seed):
@@ -237,6 +246,11 @@ def test_top_singular_values_match_oracle(c6):
         for value, matrix in zip(got, stack):
             reference = dense_norm(matrix)
             assert abs(value - reference) <= 1e-13 * reference, name
+            sigma, right = nl.top_singular_pair(matrix)
+            assert abs(sigma - reference) <= 1e-13 * reference, name
+            assert abs(np.linalg.norm(right) - 1) <= 1e-13, name
+            attained = np.linalg.norm(matrix @ right)
+            assert abs(attained - reference) <= 1e-12 * reference, name
     matrix = stacks["tall"][0]
     assert nl.top_singular_values(matrix).shape == ()
     assert abs(nl.top_singular_values(matrix) - dense_norm(matrix)) <= (
@@ -252,8 +266,17 @@ def test_norms_scale_across_the_float_range(scale):
     c12 = nl.generate_family("cycle", {"n": 12})
     a = nl.random_banded(c12, 1, seed=5)
     scaled = a * scale
+    reduced = nl.vector_amplification_reduction(scaled)
     pairs = [
         (nl.operator_norm(scaled), nl.operator_norm(a)),
+        (
+            nl.operator_norm(scaled, method="power"),
+            nl.operator_norm(a, method="power"),
+        ),
+        (
+            reduced.input_norm,
+            nl.vector_amplification_reduction(a).input_norm,
+        ),
         (nl.compress(scaled, 2).norm(), nl.compress(a, 2).norm()),
         (
             nl.best_localized_vector(scaled, 2).column_norm,
@@ -263,6 +286,7 @@ def test_norms_scale_across_the_float_range(scale):
     for got, unit in pairs:
         assert unit > 0
         assert abs(got - scale * unit) <= 1e-13 * scale * unit
+    assert reduced.achieved_fraction >= 1 - 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
@@ -277,6 +301,44 @@ def test_non_finite_entries_raise_data_error(c6, bad):
     with pytest.raises(nl.DataError):
         nl.operator_norm(a, method="dense")
     with pytest.raises(nl.DataError):
+        nl.operator_norm(a, method="power")
+    with pytest.raises(nl.DataError):
+        nl.vector_amplification_reduction(a)
+    with pytest.raises(nl.DataError):
         nl.compress(a, 1).norm()
     with pytest.raises(nl.DataError):
         nl.best_localized_vector(a, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_top_pair_above_the_dense_limit(seed):
+    # side 520 > DENSE_NORM_LIMIT, so the pair comes from power iteration
+    c260 = nl.generate_family("cycle", {"n": 260})
+    a = nl.random_banded(c260, 1, seed=seed, m=2)
+    assert a.data.shape[0] > nl.operators.DENSE_NORM_LIMIT
+    red = nl.vector_amplification_reduction(a)
+    reference = dense_norm(a.to_dense())
+    assert abs(red.input_norm - reference) <= 1e-8 * reference
+    assert red.achieved_fraction >= 1 - 1e-8
+
+
+def test_power_iteration_cap_raises(c60, monkeypatch):
+    monkeypatch.setattr(nl.operators, "POWER_STEP_CAP", 2)
+    with pytest.raises(nl.ConvergenceFailure):
+        nl.operator_norm(nl.random_banded(c60, 1, seed=0), method="power")
+    c260 = nl.generate_family("cycle", {"n": 260})
+    with pytest.raises(nl.ConvergenceFailure):
+        nl.vector_amplification_reduction(
+            nl.random_banded(c260, 1, seed=0, m=2)
+        )
+
+
+def test_library_has_one_top_singular_pair_routine():
+    # Every largest singular value and vector comes from top_singular_values
+    # or top_singular_pair; no second solver may creep back in.
+    sources = sorted(Path(nl.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text()
+        for banned in ("linalg.svd", "_top_right_vector"):
+            assert banned not in text, f"{path.name} uses {banned}"
