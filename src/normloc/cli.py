@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 from . import certificates as certs
 from . import duality, localization, operators, space as spaces
@@ -55,9 +54,12 @@ def _csv_text(header, rows) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write atomically so a crashed run never leaves a torn file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write atomically so a crashed run never leaves a torn file.
+
+    The file is created with mode 0666 less the umask, like ``open``.
+    """
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -2,8 +2,11 @@
 
 The whole package works over a finite metric space given by an explicit
 distance table.  Graph families (cycles, paths, grids, trees, random regular
-graphs) are turned into metric spaces through breadth-first shortest paths,
-so their distances are exact integers.  Closed balls, geometry profiles and
+graphs) are built as explicit edge lists and turned into metric spaces by
+one breadth-first search from all sources at once, so their distances are
+exact integers.  Random regular graphs come from the Steger-Wormald pairing
+model driven by ``random.Random(seed)``; the draw order is fixed, so a seed
+names the same graph in every release.  Closed balls, geometry profiles and
 metric-axiom validation live here as well.
 """
 
@@ -11,9 +14,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -172,6 +175,46 @@ def geometry_profile(space: FiniteMetricSpace, radius: float) -> GeometryProfile
     )
 
 
+def _hop_distances(n: int, pairs: np.ndarray, sources) -> np.ndarray:
+    """Hop counts from each source to every vertex, -1 where unreachable.
+
+    ``pairs`` is an ``(m, 2)`` array of undirected edges.  One
+    level-synchronous breadth-first search runs from all sources at once
+    over CSR neighbour arrays: the frontier holds the flat indices
+    ``row * n + v`` of the (source row, vertex) pairs first reached at the
+    current level.  The total work is the number of sources times the
+    number of edges.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    # Both orientations, duplicates merged, sorted by tail: CSR order.
+    tail, head = pairs.T
+    keys = np.unique(np.concatenate([tail * n + head, head * n + tail]))
+    neighbours = keys % n
+    degree = np.bincount(keys // n, minlength=n)
+    start = np.cumsum(degree) - degree
+    dist = np.full(sources.size * n, -1, dtype=np.int64)
+    frontier = np.arange(sources.size) * n + sources
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        v = frontier % n
+        count = degree[v]
+        # Position of each frontier vertex's k-th neighbour in the CSR
+        # array, for every frontier pair and every k < its degree.
+        offset = np.repeat(start[v] - (np.cumsum(count) - count), count)
+        reached = neighbours[offset + np.arange(offset.size)]
+        cand = np.repeat(frontier - v, count) + reached
+        cand = cand[dist[cand] < 0]
+        # Several frontier pairs can reach one new pair: tag each candidate
+        # with its own negative stamp; exactly one stamp per pair survives.
+        stamp = -2 - np.arange(cand.size)
+        dist[cand] = stamp
+        frontier = cand[dist[cand] == stamp]
+        dist[frontier] = level
+    return dist.reshape(sources.size, n)
+
+
 def from_graph(
     n: int,
     edges,
@@ -180,26 +223,23 @@ def from_graph(
 ) -> FiniteMetricSpace:
     """Shortest-path metric of a connected undirected graph.
 
-    Edges are pairs of vertex indices in ``range(n)``.  Self loops are
-    rejected, duplicate edges are merged.  Raises
+    Edges are pairs of integer vertex indices in ``range(n)``.  Self loops
+    are rejected, duplicate edges are merged.  Raises
     :class:`DisconnectedGraph` when some pair of vertices is unreachable.
     """
-    n = int(n)
+    n = _integer(n, "the vertex count")
     if n < 1:
         raise InvalidParams(f"graph needs at least one vertex, got n={n}")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
+    pairs = []
     for e in edges:
-        u, v = (int(p) for p in e)
+        u, v = (_integer(p, "an edge endpoint") for p in e)
         if not (0 <= u < n and 0 <= v < n):
             raise UnknownPoint(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
         if u == v:
             raise InvalidParams(f"self loop at vertex {u}")
-        graph.add_edge(u, v)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for u, lengths in nx.all_pairs_shortest_path_length(graph):
-        for v, d in lengths.items():
-            dist[u, v] = d
+        pairs.append((u, v))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    dist = _hop_distances(n, pairs, np.arange(n))
     if (dist < 0).any():
         raise DisconnectedGraph(f"graph {name!r} is not connected")
     if labels is None:
@@ -214,7 +254,62 @@ def _require_params(kind: str, params: dict, keys: tuple[str, ...]) -> tuple:
         raise InvalidParams(
             f"family {kind!r} takes parameters {sorted(want)}, got {sorted(got)}"
         )
-    return tuple(int(params[k]) for k in keys)
+    return tuple(_integer(params[k], f"parameter {k!r}") for k in keys)
+
+
+def _regular_edges(n: int, d: int, rng: random.Random) -> set:
+    """Edge set of a random d-regular graph (Steger and Wormald's pairing).
+
+    Stubs are shuffled and paired; a pair that is a loop or repeats an edge
+    returns its stubs to the pool for the next round.  When no pool pair
+    could ever be joined the attempt fails and a fresh one starts.  The
+    order of draws from ``rng`` is fixed, so graphs per seed never change.
+    """
+
+    def suitable(edges, potential_edges):
+        # Is some pair of pool vertices still joinable?  The swap rebinds s1
+        # for the rest of the inner loop, which changes the pairs checked and
+        # so when an attempt is abandoned: graphs per seed depend on it.
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_creation():
+        edges = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            potential_edges = defaultdict(int)
+            rng.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and ((s1, s2) not in edges):
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not suitable(edges, potential_edges):
+                return None
+            stubs = [
+                node
+                for node, potential in potential_edges.items()
+                for _ in range(potential)
+            ]
+        return edges
+
+    edges = try_creation()
+    while edges is None:
+        edges = try_creation()
+    return edges
 
 
 def generate_family(
@@ -238,31 +333,32 @@ def generate_family(
         (n,) = _require_params(kind, params, ("n",))
         if n < 3:
             raise InvalidParams(f"cycle needs n >= 3, got {n}")
-        graph = nx.cycle_graph(n)
-        return from_graph(n, graph.edges, name=f"cycle_{n}")
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        return from_graph(n, edges, name=f"cycle_{n}")
     if kind == "path":
         (n,) = _require_params(kind, params, ("n",))
         if n < 1:
             raise InvalidParams(f"path needs n >= 1, got {n}")
-        graph = nx.path_graph(n)
-        return from_graph(n, graph.edges, name=f"path_{n}")
+        edges = [(i, i + 1) for i in range(n - 1)]
+        return from_graph(n, edges, name=f"path_{n}")
     if kind == "grid":
         rows, cols = _require_params(kind, params, ("rows", "cols"))
         if rows < 1 or cols < 1:
             raise InvalidParams(f"grid needs rows, cols >= 1, got {rows}x{cols}")
-        graph = nx.grid_2d_graph(rows, cols)
-        relabel = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
-        graph = nx.relabel_nodes(graph, relabel)
-        return from_graph(rows * cols, graph.edges, name=f"grid_{rows}x{cols}")
+        # Vertex (r, c) is r * cols + c.
+        n = rows * cols
+        edges = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+        edges += [(v, v + cols) for v in range(n - cols)]
+        return from_graph(n, edges, name=f"grid_{rows}x{cols}")
     if kind == "binary_tree":
         (depth,) = _require_params(kind, params, ("depth",))
         if depth < 0:
             raise InvalidParams(f"binary_tree needs depth >= 0, got {depth}")
-        # balanced_tree labels by breadth-first order: children of i are
-        # 2i + 1 and 2i + 2, which is the layout the rest of the code assumes.
-        graph = nx.balanced_tree(2, depth)
+        # Breadth-first labels: the children of i are 2i + 1 and 2i + 2,
+        # which is the layout the rest of the code assumes.
         n = 2 ** (depth + 1) - 1
-        return from_graph(n, graph.edges, name=f"binary_tree_{depth}")
+        edges = [((c - 1) // 2, c) for c in range(1, n)]
+        return from_graph(n, edges, name=f"binary_tree_{depth}")
     if kind == "random_regular":
         n, d = _require_params(kind, params, ("n", "d"))
         if seed is None:
@@ -275,10 +371,10 @@ def generate_family(
         # The model can produce disconnected graphs; resample with the same
         # generator so the whole procedure stays a pure function of the seed.
         for _ in range(200):
-            graph = nx.random_regular_graph(d, n, seed=rng)
-            if nx.is_connected(graph):
+            edges = list(_regular_edges(n, d, rng))
+            if (_hop_distances(n, np.array(edges), [0]) >= 0).all():
                 return from_graph(
-                    n, graph.edges, name=f"random_regular_{n}_{d}_{int(seed)}"
+                    n, edges, name=f"random_regular_{n}_{d}_{int(seed)}"
                 )
         raise InvalidParams(
             f"no connected {d}-regular graph on {n} vertices in 200 draws"
@@ -386,10 +482,10 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 
 
 def _integer(value, what: str) -> int:
-    """A JSON integer field, refusing floats, booleans and strings."""
-    if type(value) is not int:
+    """An integer (Python or numpy), refusing floats, booleans and strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise FormatError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _number(value, what: str) -> float:
@@ -419,7 +515,8 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
         {"n": int, "edges": [[u, v], ...], "name": optional}
 
     Graph input goes through :func:`from_graph` and therefore must describe
-    a connected graph on vertices ``0..n-1``.
+    a connected graph on vertices ``0..n-1``; ``n`` and every endpoint must
+    be a JSON integer.
     """
     if not isinstance(obj, dict):
         raise FormatError("space document must be a JSON object")
@@ -445,14 +542,13 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
     if "edges" in obj:
         if "n" not in obj:
             raise FormatError("graph document needs 'n'")
+        n = _integer(obj["n"], "'n'")
         edges = obj["edges"]
-        if not isinstance(edges, list) or any(len(e) != 2 for e in edges):
+        if not isinstance(edges, list) or any(
+            not isinstance(e, list) or len(e) != 2 for e in edges
+        ):
             raise FormatError("'edges' must be a list of [u, v] pairs")
-        return from_graph(
-            int(obj["n"]),
-            edges,
-            name=str(obj.get("name", "graph")),
-        )
+        return from_graph(n, edges, name=str(obj.get("name", "graph")))
     raise FormatError("space document needs either 'dist' or 'n'+'edges'")
 
 

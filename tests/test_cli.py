@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -79,6 +81,38 @@ def test_space_validate_flags_broken_metric(tmp_path, capsys):
     assert main(["space", "validate", "--in", str(bad)]) == 3
     out = capsys.readouterr().out
     assert "symmetry:" in out or "triangle:" in out
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 3.7, "edges": [[0, 1], [1, 2]]}, "'n' must be an integer"),
+        ({"n": "x", "edges": []}, "'n' must be an integer"),
+        ({"n": 2, "edges": [[0.5, 1]]}, "an edge endpoint must be an integer"),
+        ({"n": 2, "edges": [5]}, "'edges' must be a list of [u, v] pairs"),
+    ],
+    ids=["fractional-n", "string-n", "fractional-endpoint", "bare-int-edge"],
+)
+def test_space_validate_malformed_graph_document_exit_3(
+    tmp_path, capsys, doc, message
+):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["space", "validate", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert message in captured.err
+
+
+def test_outputs_honour_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        path = _space_file(tmp_path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+    # the temporary file was renamed into place, none is left behind
+    assert os.listdir(tmp_path) == ["sp.json"]
 
 
 def test_missing_and_malformed_inputs(tmp_path):
