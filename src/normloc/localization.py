@@ -128,14 +128,17 @@ class BlockCompression:
             lambda idx: data[idx[:, :, None], idx[:, None, :]],
         )
 
+    def maximal_norms(self) -> np.ndarray:
+        """Spectral norm of each maximal ball's block, as ``index.maximal``."""
+        return self._norms(self.index.groups)[1]
+
     def norm(self) -> float:
         """Sup over points of the spectral norm of the ball restriction.
 
         A block of a sub-ball is a submatrix of the block of the larger
         ball, so only the inclusion-maximal balls are factorized.
         """
-        _, values = self._norms(self.index.groups)
-        return float(max(values, default=0.0))
+        return float(max(self.maximal_norms(), default=0.0))
 
     def block_norms(self) -> np.ndarray:
         """Spectral norm of every block, indexed by point."""
@@ -293,12 +296,20 @@ def localization_report(
     ``index`` can carry a prebuilt :func:`ball_index` at the localization
     radius, as for :func:`compress`.
     """
+    return _report_and_norms(a, radius, index)[0]
+
+
+def _report_and_norms(
+    a: BandedOperator, radius: float, index: BallIndex | None
+) -> tuple[LocalizationReport, np.ndarray]:
+    """The report and the norms of its maximal-ball blocks at ``radius``."""
     norm_a = operator_norm(a)
     if norm_a == 0.0:
         raise ZeroOperator("cannot profile the zero operator")
     prop = propagation(a)
     index = _checked_index(a, radius, index)
-    sq = compress(a, radius, index).norm()
+    norms = compress(a, radius, index).maximal_norms()
+    sq = float(max(norms, default=0.0))
     col_witness = best_localized_vector(a, radius, index)
     col = col_witness.column_norm
     wide = compress(a, radius + prop).norm()
@@ -306,7 +317,7 @@ def localization_report(
     sigma_col = col / norm_a
     sigma_wide = wide / norm_a
     slack = max(sigma_sq - sigma_col, sigma_col - sigma_wide, 0.0)
-    return LocalizationReport(
+    report = LocalizationReport(
         space_name=a.space.name,
         n=a.n,
         m=a.m,
@@ -326,6 +337,7 @@ def localization_report(
         ),
         chain_slack=float(slack),
     )
+    return report, norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -700,25 +712,44 @@ def _refine_ratio(
     band_radius: float,
     start: BandedOperator,
     start_ratio: float,
+    start_norms: np.ndarray,
     budget: int,
     rng: np.random.Generator,
 ) -> float:
     """Greedy coordinate descent pushing sigma_sq down from a start point.
 
     ``start_ratio`` is the start's own ``sigma_sq`` at the radius of the
-    ball ``index``.
+    ball ``index`` and ``start_norms`` its maximal-ball block norms
+    (:meth:`BlockCompression.maximal_norms`).  A trial moves one entry
+    (y, z), which changes only the blocks of the maximal balls holding both
+    y and z; the other blocks keep their norms.  Since the largest of those
+    over the trial's norm is a floor on the trial's ratio, a trial whose
+    floor already fails the acceptance test is rejected without
+    factorizing any block, and any other trial factorizes only the changed
+    ones.  The result is the full recomputation's, bit for bit.
     """
     space, loc_radius = index.space, index.radius
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
+    norms = start_norms
     mask = space.dist <= band_radius
+    within = space.dist[index.maximal] <= loc_radius
 
-    def ratio_of(d: np.ndarray) -> float:
+    def ratio_of(d: np.ndarray, hit: np.ndarray, bar: float) -> tuple:
+        """(ratio, maximal-ball norms) of a trial, or (inf, None) when its
+        ratio cannot fall below ``bar``."""
         op = BandedOperator(space, 1, d, mask)
         norm_a = operator_norm(op)
-        if norm_a == 0.0:
-            return np.inf
-        return compress(op, loc_radius, index).norm() / norm_a
+        # Division by a positive float is monotone, so the ratio is at
+        # least the kept blocks' largest norm over norm_a.
+        if norm_a == 0.0 or norms[~hit].max(initial=0.0) / norm_a >= bar:
+            return np.inf, None
+        _, values = compress(op, loc_radius, index)._norms(
+            size_groups(index.balls, index.maximal[hit])
+        )
+        out = norms.copy()
+        out[hit] = values
+        return float(max(out, default=0.0)) / norm_a, out
 
     best = start_ratio
     scale = float(np.abs(data).max()) or 1.0
@@ -731,13 +762,14 @@ def _refine_ratio(
             if evals >= budget:
                 break
             y, z = positions[p]
+            hit = within[:, y] & within[:, z]
             for delta in (step, -step, 1j * step, -1j * step):
                 trial = data.copy()
                 trial[y, z] += delta
-                cand = ratio_of(trial)
+                cand, cand_norms = ratio_of(trial, hit, best - 1e-14)
                 evals += 1
                 if cand < best - 1e-14:
-                    best, data = cand, trial
+                    best, data, norms = cand, trial, cand_norms
                     improved = True
                     break
                 if evals >= budget:
@@ -777,10 +809,13 @@ def onl_profile(
     index = ball_index(space, loc_radius)
     reports = []
     ops = []
+    block_norms = []
     for s in sample_seeds:
         op = random_banded(space, band_radius, int(s))
         ops.append(op)
-        reports.append(localization_report(op, loc_radius, index=index))
+        report, norms = _report_and_norms(op, loc_radius, index)
+        reports.append(report)
+        block_norms.append(norms)
     ratios = np.array([r.sigma_sq for r in reports])
     worst_sample = float(ratios.min())
     adversarial = worst_sample
@@ -791,8 +826,8 @@ def onl_profile(
             adversarial = min(
                 adversarial,
                 _refine_ratio(
-                    index, band_radius, ops[int(i)], float(ratios[i]), share,
-                    rng,
+                    index, band_radius, ops[int(i)], float(ratios[i]),
+                    block_norms[int(i)], share, rng,
                 ),
             )
     probe_reports = tuple(

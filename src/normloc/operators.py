@@ -202,14 +202,14 @@ def random_banded(
         raise InvalidParams(f"field must be 'complex' or 'real', got {field!r}")
     n = space.n
     mask = space.dist <= radius
-    positions = np.argwhere(mask)
+    ys, zs = np.nonzero(mask)
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((len(positions), m, m))
+    vals = rng.standard_normal((ys.size, m, m))
     if field == "complex":
-        vals = vals + 1j * rng.standard_normal((len(positions), m, m))
+        vals = vals + 1j * rng.standard_normal((ys.size, m, m))
     data = np.zeros((n * m, n * m), dtype=np.complex128)
-    for (y, z), block in zip(positions, vals):
-        data[y * m : (y + 1) * m, z * m : (z + 1) * m] = block
+    # Axes (y, slot, z, slot): each band position's block in one assignment.
+    data.reshape(n, m, n, m)[ys, :, zs, :] = vals
     return BandedOperator(space, m, data, mask)
 
 

@@ -90,8 +90,8 @@ class GeometryProfile:
 
 
 def check_point(space: FiniteMetricSpace, x: int) -> int:
-    """Return ``x`` as a plain int after bounds checking."""
-    x = int(x)
+    """Return ``x`` as a plain int after type and bounds checking."""
+    x = _integer(x, "a point index")
     if not 0 <= x < space.n:
         raise UnknownPoint(f"point {x} outside space of size {space.n}")
     return x
@@ -324,8 +324,8 @@ def generate_family(
     - ``grid``: ``{"rows": r, "cols": c}`` with r, c >= 1
     - ``binary_tree``: ``{"depth": d}`` with d >= 0; node ``i`` has children
       ``2i + 1`` and ``2i + 2``
-    - ``random_regular``: ``{"n": k, "d": d}``; requires a seed, resamples
-      (deterministically) until the graph is connected
+    - ``random_regular``: ``{"n": k, "d": d}``; requires an integer seed,
+      resamples (deterministically) until the graph is connected
 
     Seeds are ignored by the deterministic families.
     """
@@ -367,14 +367,15 @@ def generate_family(
             raise InvalidParams(
                 f"random_regular needs 1 <= d < n and n*d even, got n={n}, d={d}"
             )
-        rng = random.Random(int(seed))
+        seed = _integer(seed, "the seed")
+        rng = random.Random(seed)
         # The model can produce disconnected graphs; resample with the same
         # generator so the whole procedure stays a pure function of the seed.
         for _ in range(200):
             edges = list(_regular_edges(n, d, rng))
             if (_hop_distances(n, np.array(edges), [0]) >= 0).all():
                 return from_graph(
-                    n, edges, name=f"random_regular_{n}_{d}_{int(seed)}"
+                    n, edges, name=f"random_regular_{n}_{d}_{seed}"
                 )
         raise InvalidParams(
             f"no connected {d}-regular graph on {n} vertices in 200 draws"
@@ -514,9 +515,10 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
         {"labels": [...], "dist": [[...]], "name": optional}
         {"n": int, "edges": [[u, v], ...], "name": optional}
 
-    Graph input goes through :func:`from_graph` and therefore must describe
-    a connected graph on vertices ``0..n-1``; ``n`` and every endpoint must
-    be a JSON integer.
+    ``labels`` is optional and, when given, a list of one string per
+    point.  Graph input goes through :func:`from_graph` and therefore must
+    describe a connected graph on vertices ``0..n-1``; ``n`` and every
+    endpoint must be a JSON integer.
     """
     if not isinstance(obj, dict):
         raise FormatError("space document must be a JSON object")
@@ -528,6 +530,10 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
         if any(not isinstance(row, list) or len(row) != n for row in dist):
             raise FormatError("'dist' must be a square matrix")
         labels = obj.get("labels", [str(i) for i in range(n)])
+        if not isinstance(labels, list) or any(
+            not isinstance(s, str) for s in labels
+        ):
+            raise FormatError("'labels' must be a list of strings")
         if len(labels) != n:
             raise FormatError(f"{len(labels)} labels for {n} points")
         try:
@@ -535,7 +541,7 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
         except ValueError as exc:
             raise FormatError(f"bad distance table: {exc}") from None
         return FiniteMetricSpace(
-            labels=tuple(str(s) for s in labels),
+            labels=tuple(labels),
             dist=table,
             name=str(obj.get("name", "space")),
         )

@@ -79,6 +79,21 @@ def matrix_unit(space, y: int, z: int):
     return nl.BandedOperator(space, 1, data)
 
 
+def literal_random_banded(space, radius, seed, m=1, field="complex"):
+    """The seeded band operator, one block written per band position."""
+    n = space.n
+    mask = space.dist <= radius
+    positions = np.argwhere(mask)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((len(positions), m, m))
+    if field == "complex":
+        vals = vals + 1j * rng.standard_normal((len(positions), m, m))
+    data = np.zeros((n * m, n * m), dtype=np.complex128)
+    for (y, z), block in zip(positions, vals):
+        data[y * m : (y + 1) * m, z * m : (z + 1) * m] = block
+    return data
+
+
 def literal_kernel_from_cp_map(cp) -> np.ndarray:
     """Kernel table of a multiplier, one matrix unit at a time (O(n^4)).
 
@@ -95,3 +110,52 @@ def literal_kernel_from_cp_map(cp) -> np.ndarray:
             image = nl.phi_apply(cp, nl.compress(unit, cp.radius, index))
             table[y, z] = image.entry(y, z)
     return table
+
+
+def literal_refine_ratio(index, band_radius, start, start_ratio, budget, rng):
+    """The greedy refinement, every block of every trial factorized.
+
+    Returns ``(best ratio, accepted moves, step halvings)``.  Same moves,
+    same rng draws and same acceptance test as the library's refinement,
+    but each trial recomputes the compression norm over every maximal ball.
+    """
+    space, loc_radius = index.space, index.radius
+    positions = np.argwhere(space.dist <= band_radius)
+    data = start.data.copy()
+    mask = space.dist <= band_radius
+
+    def ratio_of(d):
+        op = nl.BandedOperator(space, 1, d, mask)
+        norm_a = nl.operator_norm(op)
+        if norm_a == 0.0:
+            return np.inf
+        return nl.compress(op, loc_radius, index).norm() / norm_a
+
+    best = start_ratio
+    accepted = halvings = 0
+    scale = float(np.abs(data).max()) or 1.0
+    step = 0.25 * scale
+    evals = 0
+    while evals < budget and step > 1e-7 * scale:
+        improved = False
+        order = rng.permutation(len(positions))
+        for p in order:
+            if evals >= budget:
+                break
+            y, z = positions[p]
+            for delta in (step, -step, 1j * step, -1j * step):
+                trial = data.copy()
+                trial[y, z] += delta
+                cand = ratio_of(trial)
+                evals += 1
+                if cand < best - 1e-14:
+                    best, data = cand, trial
+                    accepted += 1
+                    improved = True
+                    break
+                if evals >= budget:
+                    break
+        if not improved:
+            step /= 2
+            halvings += 1
+    return best, accepted, halvings

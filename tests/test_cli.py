@@ -90,8 +90,19 @@ def test_space_validate_flags_broken_metric(tmp_path, capsys):
         ({"n": "x", "edges": []}, "'n' must be an integer"),
         ({"n": 2, "edges": [[0.5, 1]]}, "an edge endpoint must be an integer"),
         ({"n": 2, "edges": [5]}, "'edges' must be a list of [u, v] pairs"),
+        (
+            {"dist": [[0, 1], [1, 0]], "labels": 5},
+            "'labels' must be a list of strings",
+        ),
+        (
+            {"dist": [[0, 1], [1, 0]], "labels": "ab"},
+            "'labels' must be a list of strings",
+        ),
     ],
-    ids=["fractional-n", "string-n", "fractional-endpoint", "bare-int-edge"],
+    ids=[
+        "fractional-n", "string-n", "fractional-endpoint", "bare-int-edge",
+        "integer-labels", "string-labels",
+    ],
 )
 def test_space_validate_malformed_graph_document_exit_3(
     tmp_path, capsys, doc, message

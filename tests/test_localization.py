@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normloc as nl
-from helpers import dense_norm, naive_column_norm, naive_compression_norm
+from helpers import (
+    dense_norm,
+    literal_refine_ratio,
+    naive_column_norm,
+    naive_compression_norm,
+)
 
 
 def test_compression_blocks_are_subreads(c6):
@@ -368,6 +373,48 @@ def test_onl_profile_deterministic(c6):
     p2 = nl.onl_profile(c6, 1, 2, **kwargs)
     assert p1.to_json() == p2.to_json()
     assert p1.worst_ratio <= min(r.sigma_sq for r in p1.sample_reports)
+
+
+@pytest.mark.parametrize(
+    "space, loc_radius, seed, budget, halves",
+    [
+        ("c60", 10, 0, 150, False),
+        ("btree6", 5, 1, 150, False),
+        ("grid8", 5, 2, 150, False),
+        ("regular12", 1, 0, 900, True),
+    ],
+)
+def test_refinement_matches_literal_route(
+    request, space, loc_radius, seed, budget, halves
+):
+    """Refining from maximal-ball norms reproduces full recomputation.
+
+    Same start, same rng state: the refined ratio and the rng state
+    afterwards agree bit for bit, after accepted moves and, on the small
+    graph, a step halving.
+    """
+    if space == "regular12":
+        sp = nl.generate_family("random_regular", {"n": 12, "d": 3}, seed=1)
+    else:
+        sp = request.getfixturevalue(space)
+    index = nl.ball_index(sp, loc_radius)
+    start = nl.random_banded(sp, 1, seed)
+    report, norms = nl.localization._report_and_norms(start, loc_radius, index)
+    assert report.sigma_sq == nl.localization_report(start, loc_radius).sigma_sq
+    assert np.array_equal(norms, nl.compress(start, loc_radius).maximal_norms())
+    rng_lib = np.random.default_rng(seed + 100)
+    rng_lit = np.random.default_rng(seed + 100)
+    got = nl.localization._refine_ratio(
+        index, 1, start, report.sigma_sq, norms, budget, rng_lib
+    )
+    want, accepted, halvings = literal_refine_ratio(
+        index, 1, start, report.sigma_sq, budget, rng_lit
+    )
+    assert got == want
+    assert rng_lib.bit_generator.state == rng_lit.bit_generator.state
+    assert accepted > 0 and got < report.sigma_sq
+    if halves:
+        assert halvings > 0
 
 
 def test_onl_profile_radii_validation(c6):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normloc as nl
-from helpers import dense_norm, matrix_unit
+from helpers import dense_norm, literal_random_banded, matrix_unit
 
 
 def test_adjacency_structure(c6):
@@ -102,6 +102,20 @@ def test_random_banded_support_and_determinism(c60):
     assert (real.to_dense().imag == 0).all()
     with pytest.raises(nl.InvalidParams):
         nl.random_banded(c60, 1, seed=0, field="rational")
+
+
+def test_random_banded_matches_literal_route(c6, grid3):
+    tree = nl.generate_family("binary_tree", {"depth": 3})
+    for space in (c6, grid3, tree):
+        for m in (1, 2, 3):
+            for radius in (0, 1, 2):
+                for field in ("complex", "real"):
+                    for seed in range(5):
+                        a = nl.random_banded(space, radius, seed, m, field)
+                        want = literal_random_banded(
+                            space, radius, seed, m, field
+                        )
+                        assert a.data.tobytes() == want.tobytes()
 
 
 def test_random_banded_multislot(c6):

@@ -116,6 +116,8 @@ def test_generate_family_rejects_non_integer_params():
         nl.generate_family("cycle", {"n": 5.5})
     with pytest.raises(nl.FormatError):
         nl.generate_family("grid", {"rows": 2, "cols": "3"})
+    with pytest.raises(nl.FormatError):
+        nl.generate_family("random_regular", {"n": 20, "d": 3}, seed=2.9)
 
 
 def test_random_regular_needs_seed():
@@ -142,6 +144,8 @@ def test_ball_contents(c6, grid3):
     assert nl.ball(grid3, 4, 1).tolist() == [1, 3, 4, 5, 7]
     with pytest.raises(nl.UnknownPoint):
         nl.ball(c6, 6, 1)
+    with pytest.raises(nl.FormatError):
+        nl.ball(c6, 1.7, 1)
     with pytest.raises(nl.InvalidParams):
         nl.ball(c6, 0, -1)
 
@@ -251,6 +255,8 @@ def test_space_from_graph_document():
         {"dist": [[0, 1], [1, 0]], "labels": ["a"]},
         {"edges": [[0, 1]]},
         {"n": 3, "edges": [[0, 1, 2]]},
+        {"dist": [[0, 1], [1, 0]], "labels": 5},
+        {"dist": [[0, 1], [1, 0]], "labels": "ab"},
     ],
 )
 def test_space_from_json_rejects_malformed(doc):
