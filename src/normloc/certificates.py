@@ -8,15 +8,14 @@ certificates convert to vector ones (normalized indicators), vector ones to
 kernels (their Gram matrix).
 
 When every subset has the same size the Gram matrix consists of rationals
-``|overlap| / size`` and is kept exactly as Fractions alongside the float
-view; downstream bounds that the experiments pin to exact rational values
-are computed from that table.
+``|overlap| / size`` and is kept exactly, as the integer overlap counts and
+the common size, alongside the float view; downstream bounds that the
+experiments pin to exact rational values are computed from those counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +36,7 @@ from .space import (
     _integer,
     _number,
     _records,
+    ball_index,
     check_point,
     space_from_json,
     space_to_json,
@@ -65,7 +65,7 @@ class SubsetCertificate:
         n = self.space.n
         if self.radius < 0:
             raise InvalidParams(f"radius must be nonnegative, got {self.radius}")
-        if self.m < 1:
+        if _integer(self.m, "the slot count") < 1:
             raise InvalidParams(f"slot count must be >= 1, got {self.m}")
         subsets = tuple(frozenset(a) for a in self.subsets)
         if len(subsets) != n:
@@ -74,7 +74,7 @@ class SubsetCertificate:
             if not a:
                 raise EmptySubset(f"subset at point {x} is empty")
             for item in a:
-                v, slot = (int(p) for p in item)
+                v, slot = (_integer(p, "a subset member") for p in item)
                 if not 0 <= v < n:
                     raise UnknownPoint(f"subset at {x} uses point {v}")
                 if not 1 <= slot <= self.m:
@@ -99,9 +99,10 @@ class VectorCertificate:
 
     ``vectors[x, v, i]`` is the coefficient of point v, slot i.  Entries
     outside the ball must be exactly zero; norms must equal 1 up to
-    ``UNIT_NORM_TOL``.  ``exact_gram`` optionally carries the Gram matrix as
-    a tuple-of-tuples of Fractions (available when the certificate came from
-    equal-size subsets).
+    ``UNIT_NORM_TOL``.  ``exact_gram`` optionally carries the Gram matrix
+    exactly, as a pair ``(counts, size)`` of an integer (n, n) table and one
+    positive denominator (available when the certificate came from
+    equal-size subsets); it must match the vectors' own Gram matrix to 1e-9.
     """
 
     space: FiniteMetricSpace
@@ -114,7 +115,7 @@ class VectorCertificate:
         n = self.space.n
         if self.radius < 0:
             raise InvalidParams(f"radius must be nonnegative, got {self.radius}")
-        if self.m < 1:
+        if _integer(self.m, "the slot count") < 1:
             raise InvalidParams(f"slot count must be >= 1, got {self.m}")
         vec = np.array(self.vectors, dtype=np.complex128)
         if vec.shape != (n, n, self.m):
@@ -133,13 +134,21 @@ class VectorCertificate:
                 f"vector at point {worst} has squared norm {sq[worst]!r}"
             )
         if self.exact_gram is not None:
-            eg = tuple(
-                tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row)
-                for row in self.exact_gram
-            )
-            if len(eg) != n or any(len(row) != n for row in eg):
-                raise FormatError("exact Gram table has wrong shape")
-            object.__setattr__(self, "exact_gram", eg)
+            counts, size = self.exact_gram
+            counts = np.array(counts)
+            size = _integer(size, "the exact Gram denominator")
+            if counts.shape != (n, n) or counts.dtype.kind not in "iu" or (
+                size < 1
+            ):
+                raise FormatError(
+                    "exact Gram must be (n, n) integer counts and a size >= 1"
+                )
+            flat = vec.reshape(n, -1)
+            if np.abs(flat @ flat.conj().T - counts / size).max() > 1e-9:
+                raise DataError("exact Gram table does not match the vectors")
+            counts = counts.astype(np.int64)
+            counts.setflags(write=False)
+            object.__setattr__(self, "exact_gram", (counts, size))
         vec.setflags(write=False)
         object.__setattr__(self, "vectors", vec)
 
@@ -157,7 +166,8 @@ class VectorCertificate:
     @cached_property
     def _gram(self) -> np.ndarray:
         if self.exact_gram is not None:
-            g = np.array([[float(v) for v in row] for row in self.exact_gram])
+            counts, size = self.exact_gram
+            g = counts / size
         else:
             flat = self.vectors.reshape(self.space.n, -1)
             g = flat @ flat.conj().T
@@ -204,13 +214,11 @@ class KernelCertificate:
 
 def ball_certificate(space: FiniteMetricSpace, radius: float) -> SubsetCertificate:
     """Subset certificate whose set at x is the full ball around x."""
-    from .space import ball
-
-    subsets = [
-        frozenset((int(v), 1) for v in ball(space, x, radius))
-        for x in range(space.n)
-    ]
-    return SubsetCertificate(space=space, radius=radius, m=1, subsets=tuple(subsets))
+    subsets = tuple(
+        frozenset((int(v), 1) for v in points)
+        for points in ball_index(space, radius).balls
+    )
+    return SubsetCertificate(space=space, radius=radius, m=1, subsets=subsets)
 
 
 def tree_ray_certificate(
@@ -225,7 +233,7 @@ def tree_ray_certificate(
     Requires the distance-one graph to be a tree (checked).
     """
     root = check_point(space, root)
-    length = int(length)
+    length = _integer(length, "the ray length")
     if length < 1:
         raise InvalidParams(f"ray length must be >= 1, got {length}")
     n = space.n
@@ -280,11 +288,8 @@ def subset_to_vector(cert: SubsetCertificate) -> VectorCertificate:
     vec = (member * amp[:, None]).reshape(n, n, m).astype(np.complex128)
     exact = None
     if len(set(cert.sizes)) == 1:
-        s = cert.sizes[0]
         # Intersection counts; a float product counts exactly at these sizes.
-        counts = (member @ member.T).astype(np.int64).tolist()
-        ratio = [Fraction(c, s) for c in range(s + 1)]
-        exact = tuple(tuple(ratio[c] for c in row) for row in counts)
+        exact = ((member @ member.T).astype(np.int64), cert.sizes[0])
     return VectorCertificate(
         space=cert.space, radius=cert.radius, m=m, vectors=vec, exact_gram=exact
     )

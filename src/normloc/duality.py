@@ -55,7 +55,7 @@ from .operators import (
     same_space,
     top_singular_values,
 )
-from .space import FiniteMetricSpace, ball_index, geometry_profile
+from .space import FiniteMetricSpace, _integer, geometry_profile
 
 
 class SchurCPMap:
@@ -226,10 +226,8 @@ def a_implies_onl_bound(
     if certificate.exact_gram is not None:
         # Gram entries of unit vectors are at most 1, so the worst shortfall
         # on the band is 1 minus the smallest entry there.
-        least = min(
-            certificate.exact_gram[y][z] for y, z in np.argwhere(band)
-        )
-        deficit_exact = 1 - least
+        counts, size = certificate.exact_gram
+        deficit_exact = Fraction(size - int(counts[band].min()), size)
     kappa = schur_test_kappa(space, band_radius)
     if deficit_exact is not None:
         epsilon_exact = kappa * deficit_exact
@@ -241,13 +239,12 @@ def a_implies_onl_bound(
     all_verified: bool | None = None
     if samples > 0:
         cp = SchurCPMap(certificate)
-        index = ball_index(space, certificate.radius)
         rng = np.random.default_rng(seed)
         child_seeds = rng.integers(0, 2**63 - 1, size=samples)
         for s in child_seeds:
             a = random_banded(space, band_radius, int(s))
             norm_a = operator_norm(a)
-            compressed = compress(a, certificate.radius, index)
+            compressed = compress(a, certificate.radius)
             moved = operator_norm(a - phi_apply(cp, compressed))
             loc = compressed.norm()
             multiplier_ok = moved <= epsilon * norm_a + slack
@@ -381,17 +378,16 @@ def sampled_cb_norm_check(
             f"need 0 < band radius <= localization radius, got "
             f"{band_radius} and {loc_radius}"
         )
-    amplification = int(amplification)
+    amplification = _integer(amplification, "the amplification")
     if amplification < 1:
         raise InvalidParams(f"amplification must be >= 1, got {amplification}")
     if samples < 1:
         raise InvalidParams("need at least one sample")
     rng = np.random.default_rng(seed)
     child_seeds = rng.integers(0, 2**63 - 1, size=(samples, 2))
-    index = ball_index(space, loc_radius)
 
     def inverse_ratio(a: BandedOperator) -> float:
-        return operator_norm(a) / compress(a, loc_radius, index).norm()
+        return operator_norm(a) / compress(a, loc_radius).norm()
 
     scalar_ratios = []
     amplified_ratios = []

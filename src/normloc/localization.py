@@ -25,11 +25,9 @@ import numpy as np
 
 from .errors import (
     AllWeightsZero,
-    DataError,
     DegenerateWitness,
     InvalidParams,
     InvalidRadii,
-    RadiusMismatch,
     ZeroOperator,
 )
 from .operators import (
@@ -37,13 +35,13 @@ from .operators import (
     operator_norm,
     propagation,
     random_banded,
-    same_space,
     top_singular_pair,
     top_singular_values,
 )
 from .space import (
     BallIndex,
     FiniteMetricSpace,
+    _integer,
     ball_index,
     restrict,
     size_groups,
@@ -153,33 +151,14 @@ class BlockCompression:
         return not any(self.block(x).any() for x in self.index.maximal)
 
 
-def _checked_index(
-    a: BandedOperator, radius: float, index: BallIndex | None
-) -> BallIndex:
-    """The given ball index after checking it fits, or a new one."""
-    if index is None:
-        return ball_index(a.space, radius)
-    if index.radius != radius:
-        raise RadiusMismatch(
-            f"ball index of radius {index.radius} used at radius {radius}"
-        )
-    if not same_space(index.space, a.space):
-        raise DataError("ball index and operator live on different spaces")
-    return index
-
-
-def compress(
-    a: BandedOperator, radius: float, index: BallIndex | None = None
-) -> BlockCompression:
+def compress(a: BandedOperator, radius: float) -> BlockCompression:
     """Restrict an operator to every closed ball of the given radius.
 
-    ``index`` can carry a prebuilt :func:`ball_index` of the operator's
-    space at this radius, to amortize repeated compressions over one space.
+    The balls come from :func:`ball_index`, which the space keeps, so
+    repeated compressions over one space index each radius once.
     """
-    if radius < 0:
-        raise InvalidParams(f"localization radius must be >= 0, got {radius}")
     return BlockCompression(
-        source=a, radius=radius, index=_checked_index(a, radius, index)
+        source=a, radius=radius, index=ball_index(a.space, radius)
     )
 
 
@@ -193,9 +172,7 @@ class ColumnWitness:
     column_norm: float
 
 
-def best_localized_vector(
-    a: BandedOperator, radius: float, index: BallIndex | None = None
-) -> ColumnWitness:
+def best_localized_vector(a: BandedOperator, radius: float) -> ColumnWitness:
     """Unit vector supported in a single ball maximizing ||a v||.
 
     Restricting a to the columns of a sub-ball gives a submatrix of its
@@ -210,7 +187,7 @@ def best_localized_vector(
     exactly when it is zero.
     """
     n, m = a.n, a.m
-    index = _checked_index(a, radius, index)
+    index = ball_index(a.space, radius)
     # Each ball's columns are gathered as rows of the transpose, which has
     # the same singular values.
     centers, norms = _top_singular_values(
@@ -285,32 +262,27 @@ class LocalizationReport:
         )
 
 
-def localization_report(
-    a: BandedOperator, radius: float, index: BallIndex | None = None
-) -> LocalizationReport:
+def localization_report(a: BandedOperator, radius: float) -> LocalizationReport:
     """Compare ball compressions of an operator against its norm.
 
     The widened radius is the localization radius plus the measured
     propagation of the operator.  The chain inequalities are verified with
     ``CHAIN_TOL`` slack and the worst violation is recorded, not raised.
-    ``index`` can carry a prebuilt :func:`ball_index` at the localization
-    radius, as for :func:`compress`.
     """
-    return _report_and_norms(a, radius, index)[0]
+    return _report_and_norms(a, radius)[0]
 
 
 def _report_and_norms(
-    a: BandedOperator, radius: float, index: BallIndex | None
+    a: BandedOperator, radius: float
 ) -> tuple[LocalizationReport, np.ndarray]:
     """The report and the norms of its maximal-ball blocks at ``radius``."""
     norm_a = operator_norm(a)
     if norm_a == 0.0:
         raise ZeroOperator("cannot profile the zero operator")
     prop = propagation(a)
-    index = _checked_index(a, radius, index)
-    norms = compress(a, radius, index).maximal_norms()
+    norms = compress(a, radius).maximal_norms()
     sq = float(max(norms, default=0.0))
-    col_witness = best_localized_vector(a, radius, index)
+    col_witness = best_localized_vector(a, radius)
     col = col_witness.column_norm
     wide = compress(a, radius + prop).norm()
     sigma_sq = sq / norm_a
@@ -481,7 +453,7 @@ def power_trick_witness(
     mutually far branches, the target can be out of reach for every
     vector, and stage h is kept.
     """
-    power = int(power)
+    power = _integer(power, "the power")
     if power < 1:
         raise InvalidParams(f"power must be >= 1, got {power}")
     norm_a = operator_norm(a)
@@ -708,7 +680,8 @@ class OnlProfile:
 
 
 def _refine_ratio(
-    index: BallIndex,
+    space: FiniteMetricSpace,
+    loc_radius: float,
     band_radius: float,
     start: BandedOperator,
     start_ratio: float,
@@ -718,8 +691,8 @@ def _refine_ratio(
 ) -> float:
     """Greedy coordinate descent pushing sigma_sq down from a start point.
 
-    ``start_ratio`` is the start's own ``sigma_sq`` at the radius of the
-    ball ``index`` and ``start_norms`` its maximal-ball block norms
+    ``start_ratio`` is the start's own ``sigma_sq`` at ``loc_radius`` and
+    ``start_norms`` its maximal-ball block norms
     (:meth:`BlockCompression.maximal_norms`).  A trial moves one entry
     (y, z), which changes only the blocks of the maximal balls holding both
     y and z; the other blocks keep their norms.  Since the largest of those
@@ -728,7 +701,7 @@ def _refine_ratio(
     factorizing any block, and any other trial factorizes only the changed
     ones.  The result is the full recomputation's, bit for bit.
     """
-    space, loc_radius = index.space, index.radius
+    index = ball_index(space, loc_radius)
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
     norms = start_norms
@@ -744,7 +717,7 @@ def _refine_ratio(
         # least the kept blocks' largest norm over norm_a.
         if norm_a == 0.0 or norms[~hit].max(initial=0.0) / norm_a >= bar:
             return np.inf, None
-        _, values = compress(op, loc_radius, index)._norms(
+        _, values = compress(op, loc_radius)._norms(
             size_groups(index.balls, index.maximal[hit])
         )
         out = norms.copy()
@@ -806,14 +779,13 @@ def onl_profile(
         raise InvalidParams("need at least one sample")
     rng = np.random.default_rng(seed)
     sample_seeds = rng.integers(0, 2**63 - 1, size=samples)
-    index = ball_index(space, loc_radius)
     reports = []
     ops = []
     block_norms = []
     for s in sample_seeds:
         op = random_banded(space, band_radius, int(s))
         ops.append(op)
-        report, norms = _report_and_norms(op, loc_radius, index)
+        report, norms = _report_and_norms(op, loc_radius)
         reports.append(report)
         block_norms.append(norms)
     ratios = np.array([r.sigma_sq for r in reports])
@@ -826,12 +798,12 @@ def onl_profile(
             adversarial = min(
                 adversarial,
                 _refine_ratio(
-                    index, band_radius, ops[int(i)], float(ratios[i]),
-                    block_norms[int(i)], share, rng,
+                    space, loc_radius, band_radius, ops[int(i)],
+                    float(ratios[i]), block_norms[int(i)], share, rng,
                 ),
             )
     probe_reports = tuple(
-        (name, localization_report(op, loc_radius, index=index))
+        (name, localization_report(op, loc_radius))
         for name, op in probes
     )
     worst = min(

@@ -37,7 +37,9 @@ class FiniteMetricSpace:
 
     The constructor only enforces shape consistency, so syntactically valid
     but metrically broken tables can be built and then fed to
-    :func:`validate_metric`.  The distance table is copied and frozen.
+    :func:`validate_metric`.  The distance table is copied and frozen.  The
+    space keeps the ball indexes built on it, one per radius (see
+    :func:`ball_index`).
     """
 
     labels: tuple[str, ...]
@@ -62,6 +64,7 @@ class FiniteMetricSpace:
         table.setflags(write=False)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "dist", table)
+        object.__setattr__(self, "_ball_indexes", {})
 
     @property
     def n(self) -> int:
@@ -118,7 +121,6 @@ class BallIndex:
     norms of restrictions (two-sided or to columns) is attained on them.
     """
 
-    space: FiniteMetricSpace
     radius: float
     balls: tuple
     maximal: np.ndarray
@@ -133,13 +135,19 @@ def size_groups(balls: tuple, centers) -> tuple:
 
 
 def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
-    """Index the closed balls of the given radius and find the maximal ones.
+    """The closed balls of the given radius and the maximal ones.
 
-    Ball x lies inside ball y exactly when their overlap count equals the
-    size of ball x; all overlap counts come from one matrix product.
+    The space keeps the index, so each radius of a space is indexed once
+    and every later call returns the same object.  Ball x lies inside ball
+    y exactly when their overlap count equals the size of ball x; all
+    overlap counts come from one matrix product.  A negative or NaN radius
+    raises :class:`InvalidParams`.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise InvalidParams(f"ball radius must be nonnegative, got {radius}")
+    index = space._ball_indexes.get(radius)
+    if index is not None:
+        return index
     inside = space.dist <= radius
     balls = tuple(np.flatnonzero(row) for row in inside)
     # A float product runs through BLAS and counts exactly at these sizes.
@@ -152,13 +160,13 @@ def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
     earlier = np.tri(space.n, k=-1, dtype=bool)
     dropped = (contained & (larger | earlier)).any(axis=1)
     maximal = np.flatnonzero(~dropped)
-    return BallIndex(
-        space=space,
-        radius=radius,
-        balls=balls,
-        maximal=maximal,
-        groups=size_groups(balls, maximal),
-    )
+    groups = size_groups(balls, maximal)
+    # Every caller shares the kept index, so its arrays are read-only.
+    for arr in (*balls, maximal, *groups):
+        arr.setflags(write=False)
+    index = BallIndex(radius, balls, maximal, groups)
+    space._ball_indexes[radius] = index
+    return index
 
 
 def geometry_profile(space: FiniteMetricSpace, radius: float) -> GeometryProfile:

@@ -102,24 +102,24 @@ def literal_kernel_from_cp_map(cp) -> np.ndarray:
     """
     space = cp.space
     n = space.n
-    index = nl.ball_index(space, cp.radius)
     table = np.zeros((n, n), dtype=np.complex128)
     for y in range(n):
         for z in range(n):
             unit = matrix_unit(space, y, z)
-            image = nl.phi_apply(cp, nl.compress(unit, cp.radius, index))
+            image = nl.phi_apply(cp, nl.compress(unit, cp.radius))
             table[y, z] = image.entry(y, z)
     return table
 
 
-def literal_refine_ratio(index, band_radius, start, start_ratio, budget, rng):
+def literal_refine_ratio(
+    space, loc_radius, band_radius, start, start_ratio, budget, rng
+):
     """The greedy refinement, every block of every trial factorized.
 
     Returns ``(best ratio, accepted moves, step halvings)``.  Same moves,
     same rng draws and same acceptance test as the library's refinement,
     but each trial recomputes the compression norm over every maximal ball.
     """
-    space, loc_radius = index.space, index.radius
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
     mask = space.dist <= band_radius
@@ -129,7 +129,7 @@ def literal_refine_ratio(index, band_radius, start, start_ratio, budget, rng):
         norm_a = nl.operator_norm(op)
         if norm_a == 0.0:
             return np.inf
-        return nl.compress(op, loc_radius, index).norm() / norm_a
+        return nl.compress(op, loc_radius).norm() / norm_a
 
     best = start_ratio
     accepted = halvings = 0

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,11 +39,11 @@ def test_subset_to_vector_unit_norms_and_support(c6):
 def test_ball_certificate_exact_gram_values(c6):
     vec = nl.subset_to_vector(nl.ball_certificate(c6, 1))
     assert vec.exact_gram is not None
-    assert vec.exact_gram[0][0] == 1
-    assert vec.exact_gram[0][1] == Fraction(2, 3)
-    assert vec.exact_gram[0][2] == Fraction(1, 3)
-    assert vec.exact_gram[0][3] == 0
+    counts, size = vec.exact_gram
+    assert counts.dtype == np.int64 and size == 3
+    assert counts[0, :4].tolist() == [3, 2, 1, 0]
     g = vec.gram()
+    assert np.array_equal(g, counts / size)
     assert g[0, 0] == 1.0
     assert abs(g[0, 1] - 2 / 3) < 1e-15
 
@@ -99,10 +98,10 @@ def test_tree_ray_certificate_overlaps():
     assert cert.m == 4
     vec = nl.subset_to_vector(cert)
     assert vec.exact_gram is not None
+    counts, size = vec.exact_gram
     # every adjacent pair overlaps in exactly length - 1 members
-    for y, z in np.argwhere(bt.dist == 1):
-        if y < z:
-            assert vec.exact_gram[y][z] == Fraction(3, 4)
+    assert size == 4
+    assert (counts[bt.dist == 1] == 3).all()
 
 
 def test_tree_ray_depth_shallower_than_ray():
@@ -219,4 +218,46 @@ def test_subset_round_trip_recovers_exactness(c6):
     back = nl.certificate_from_json(doc)
     vec = nl.subset_to_vector(back)
     assert vec.exact_gram is not None
-    assert vec.exact_gram[0][1] == Fraction(2, 3)
+    counts, size = vec.exact_gram
+    assert (counts[0, 1], size) == (2, 3)
+
+
+def test_exact_gram_must_match_the_vectors(c6):
+    vec = nl.subset_to_vector(nl.ball_certificate(c6, 1))
+    same = nl.VectorCertificate(c6, 1, 1, vec.vectors, exact_gram=vec.exact_gram)
+    assert np.array_equal(same.gram(), vec.gram())
+    # an all-ones table would certify epsilon = 0 where the truth is 1
+    forged = (np.ones((6, 6), dtype=np.int64), 1)
+    with pytest.raises(nl.DataError):
+        nl.VectorCertificate(c6, 1, 1, vec.vectors, exact_gram=forged)
+    for bad in ((vec.exact_gram[0] / 3, 1), (vec.exact_gram[0][:5], 3),
+                (vec.exact_gram[0], 0)):
+        with pytest.raises(nl.FormatError):
+            nl.VectorCertificate(c6, 1, 1, vec.vectors, exact_gram=bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bt, c6: nl.tree_ray_certificate(bt, 2.7),
+        lambda bt, c6: nl.power_trick_witness(nl.adjacency(c6), 1, 2.7),
+        lambda bt, c6: nl.sampled_cb_norm_check(
+            c6, 1, 2, amplification=2.5, samples=1
+        ),
+        lambda bt, c6: nl.SubsetCertificate(
+            c6, 1, 1, (frozenset({(0.9, 1)}),) * 6
+        ),
+        lambda bt, c6: nl.SubsetCertificate(
+            c6, 1, 1, (frozenset({(0, True)}),) * 6
+        ),
+        lambda bt, c6: nl.SubsetCertificate(
+            c6, 1, 1.0, (frozenset({(0, 1)}),) * 6
+        ),
+    ],
+    ids=["ray-length", "power", "amplification", "float-member",
+         "bool-slot", "float-slots"],
+)
+def test_library_callers_need_integers(c6, call):
+    bt = nl.generate_family("binary_tree", {"depth": 3})
+    with pytest.raises(nl.FormatError):
+        call(bt, c6)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -46,16 +48,31 @@ def test_pruned_norms_match_naive_oracles(space, request):
             assert abs(column - naive_column_norm(a, radius)) < 1e-12
 
 
-def test_compress_rejects_a_ball_index_of_another_radius(c6, p4):
+def test_space_keeps_its_ball_indexes():
+    space = nl.generate_family("cycle", {"n": 6})
+    a = nl.random_banded(space, 1, seed=2)
+    assert nl.compress(a, 2).index is nl.ball_index(space, 2)
+    assert nl.ball_index(space, 2.0) is nl.ball_index(space, 2)
+    # The kept indexes do not point back at the space, so dropping the
+    # last reference frees it without the cycle collector.
+    ref = weakref.ref(space)
+    gc.disable()
+    try:
+        del a, space
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("radius", [-1, math.nan])
+def test_compress_rejects_negative_or_nan_radius(c6, radius):
     a = nl.random_banded(c6, 1, seed=2)
-    index = nl.ball_index(c6, 2)
-    assert nl.compress(a, 2, index).norm() == nl.compress(a, 2).norm()
-    with pytest.raises(nl.RadiusMismatch):
-        nl.compress(a, 1, index)
-    with pytest.raises(nl.RadiusMismatch):
-        nl.best_localized_vector(a, 1, index)
-    with pytest.raises(nl.DataError):
-        nl.compress(nl.identity(p4), 2, index)
+    kept = dict(c6._ball_indexes)
+    with pytest.raises(nl.InvalidParams):
+        nl.compress(a, radius)
+    with pytest.raises(nl.InvalidParams):
+        nl.ball_index(c6, radius)
+    assert c6._ball_indexes == kept
 
 
 def test_compression_known_values(c6):
@@ -397,18 +414,17 @@ def test_refinement_matches_literal_route(
         sp = nl.generate_family("random_regular", {"n": 12, "d": 3}, seed=1)
     else:
         sp = request.getfixturevalue(space)
-    index = nl.ball_index(sp, loc_radius)
     start = nl.random_banded(sp, 1, seed)
-    report, norms = nl.localization._report_and_norms(start, loc_radius, index)
+    report, norms = nl.localization._report_and_norms(start, loc_radius)
     assert report.sigma_sq == nl.localization_report(start, loc_radius).sigma_sq
     assert np.array_equal(norms, nl.compress(start, loc_radius).maximal_norms())
     rng_lib = np.random.default_rng(seed + 100)
     rng_lit = np.random.default_rng(seed + 100)
     got = nl.localization._refine_ratio(
-        index, 1, start, report.sigma_sq, norms, budget, rng_lib
+        sp, loc_radius, 1, start, report.sigma_sq, norms, budget, rng_lib
     )
     want, accepted, halvings = literal_refine_ratio(
-        index, 1, start, report.sigma_sq, budget, rng_lit
+        sp, loc_radius, 1, start, report.sigma_sq, budget, rng_lit
     )
     assert got == want
     assert rng_lib.bit_generator.state == rng_lit.bit_generator.state
