@@ -36,7 +36,6 @@ from .space import (
     _integer,
     _number,
     _records,
-    ball_index,
     check_point,
     space_from_json,
     space_to_json,
@@ -52,45 +51,47 @@ HERMITIAN_TOL = 1e-12
 class SubsetCertificate:
     """Per point x, a finite nonempty set A_x of (point, slot) pairs.
 
-    Slots run from 1 to ``m``.  Every member (v, i) of A_x must satisfy
-    d(x, v) <= radius.
+    Held as one read-only boolean table of shape (n, n, m):
+    ``member[x, v, i - 1]`` says that (v, i) lies in A_x, so slots run from
+    1 to ``m``.  Every member (v, i) of A_x must satisfy d(x, v) <= radius.
     """
 
     space: FiniteMetricSpace
     radius: float
-    m: int
-    subsets: tuple[frozenset, ...]
+    member: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.space.n
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise InvalidParams(f"radius must be nonnegative, got {self.radius}")
-        if _integer(self.m, "the slot count") < 1:
-            raise InvalidParams(f"slot count must be >= 1, got {self.m}")
-        subsets = tuple(frozenset(a) for a in self.subsets)
-        if len(subsets) != n:
-            raise FormatError(f"{len(subsets)} subsets for {n} points")
-        for x, a in enumerate(subsets):
-            if not a:
-                raise EmptySubset(f"subset at point {x} is empty")
-            for item in a:
-                v, slot = (_integer(p, "a subset member") for p in item)
-                if not 0 <= v < n:
-                    raise UnknownPoint(f"subset at {x} uses point {v}")
-                if not 1 <= slot <= self.m:
-                    raise DataError(
-                        f"subset at {x} uses slot {slot}, only 1..{self.m} exist"
-                    )
-                if self.space.dist[x, v] > self.radius:
-                    raise DataError(
-                        f"subset at {x} reaches {v} at distance "
-                        f"{self.space.dist[x, v]} > radius {self.radius}"
-                    )
-        object.__setattr__(self, "subsets", subsets)
+        member = np.array(self.member)
+        if member.dtype != np.bool_ or member.ndim != 3 or (
+            member.shape[:2] != (n, n) or member.shape[2] < 1
+        ):
+            raise FormatError(
+                f"membership table is {member.dtype} of shape {member.shape}, "
+                f"wanted bool of shape ({n}, {n}, m >= 1)"
+            )
+        empty = np.flatnonzero(~member.any(axis=(1, 2)))
+        if empty.size:
+            raise EmptySubset(f"subset at point {empty[0]} is empty")
+        beyond = member.any(axis=2) & (self.space.dist > self.radius)
+        if beyond.any():
+            x, v = np.argwhere(beyond)[0]
+            raise DataError(
+                f"subset at {x} reaches {v} at distance "
+                f"{self.space.dist[x, v]} > radius {self.radius}"
+            )
+        member.setflags(write=False)
+        object.__setattr__(self, "member", member)
+
+    @property
+    def m(self) -> int:
+        return self.member.shape[2]
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.subsets)
+        return tuple(self.member.sum(axis=(1, 2)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,11 +215,8 @@ class KernelCertificate:
 
 def ball_certificate(space: FiniteMetricSpace, radius: float) -> SubsetCertificate:
     """Subset certificate whose set at x is the full ball around x."""
-    subsets = tuple(
-        frozenset((int(v), 1) for v in points)
-        for points in ball_index(space, radius).balls
-    )
-    return SubsetCertificate(space=space, radius=radius, m=1, subsets=subsets)
+    member = (space.dist <= radius)[:, :, None]
+    return SubsetCertificate(space=space, radius=radius, member=member)
 
 
 def tree_ray_certificate(
@@ -247,30 +245,27 @@ def tree_ray_certificate(
             f"vertices has {n - 1}"
         )
     depth = d[root]
-    parent = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        if v == root:
-            continue
-        up = np.flatnonzero((d[v] == 1) & (depth == depth[v] - 1))
-        if up.size != 1:
-            raise NotATree(
-                f"vertex {v} has {up.size} neighbors one step closer to root"
-            )
-        parent[v] = up[0]
-    subsets = []
-    for x in range(n):
-        ray = [x]
-        while len(ray) < length and ray[-1] != root:
-            ray.append(int(parent[ray[-1]]))
-        items = {(v, 1) for v in ray}
-        pad_slot = 2
-        while len(items) < length:
-            items.add((root, pad_slot))
-            pad_slot += 1
-        subsets.append(frozenset(items))
-    return SubsetCertificate(
-        space=space, radius=length, m=length, subsets=tuple(subsets)
-    )
+    # up[v, u]: u is a neighbor of v one step closer to the root.
+    up = (d == 1) & (depth[None, :] == depth[:, None] - 1)
+    ups = up.sum(axis=1)
+    bad = np.flatnonzero((ups != 1) & (np.arange(n) != root))
+    if bad.size:
+        raise NotATree(
+            f"vertex {bad[0]} has {ups[bad[0]]} neighbors one step closer "
+            "to root"
+        )
+    parent = up.argmax(axis=1)
+    parent[root] = root
+    member = np.zeros((n, n, length), dtype=bool)
+    # Slot 1 holds the ray; a walk that reaches the root stays there.
+    points, at = np.arange(n), np.arange(n)
+    for _ in range(length):
+        member[points, at, 0] = True
+        at = parent[at]
+    # A ray cut short by the root is padded with root copies in slots 2...
+    padding = length - 1 - depth
+    member[:, root, 1:] = np.arange(1, length)[None, :] <= padding[:, None]
+    return SubsetCertificate(space=space, radius=length, member=member)
 
 
 def subset_to_vector(cert: SubsetCertificate) -> VectorCertificate:
@@ -280,16 +275,13 @@ def subset_to_vector(cert: SubsetCertificate) -> VectorCertificate:
     |A_y intersect A_z| / s and are kept exactly.
     """
     n, m = cert.space.n, cert.m
-    # 0/1 membership table: row x, column (point, slot).
-    member = np.zeros((n, n * m))
-    for x, a in enumerate(cert.subsets):
-        member[x, [v * m + slot - 1 for v, slot in a]] = 1.0
-    amp = 1.0 / np.sqrt(member.sum(axis=1))
-    vec = (member * amp[:, None]).reshape(n, n, m).astype(np.complex128)
+    member = cert.member.reshape(n, -1).astype(np.float64)
+    sizes = member.sum(axis=1)
+    vec = (member / np.sqrt(sizes)[:, None]).reshape(n, n, m)
     exact = None
-    if len(set(cert.sizes)) == 1:
+    if (sizes == sizes[0]).all():
         # Intersection counts; a float product counts exactly at these sizes.
-        exact = ((member @ member.T).astype(np.int64), cert.sizes[0])
+        exact = ((member @ member.T).astype(np.int64), int(sizes[0]))
     return VectorCertificate(
         space=cert.space, radius=cert.radius, m=m, vectors=vec, exact_gram=exact
     )
@@ -354,14 +346,15 @@ def check_positive_definite(
     return low >= -tol, low
 
 
-def kernel_checks(cert: KernelCertificate, psd_tol: float | None = None) -> dict:
+def kernel_checks(cert: KernelCertificate) -> dict:
     """Measured properties of a kernel certificate, as a plain dict.
 
     Keys: ``diagonal_error``, ``hermitian_error``, ``min_eigenvalue``,
     ``psd_ok``, ``measured_propagation``, ``claimed_propagation``.  The
     minimum eigenvalue is computed on the Hermitized table when the raw one
     is slightly asymmetric, and reported as None when it is not Hermitian
-    even approximately.
+    even approximately; ``psd_ok`` applies the size-scaled default tolerance
+    of :func:`check_positive_definite`.
     """
     k = cert.table
     diag_err = float(np.abs(np.diagonal(k) - 1.0).max())
@@ -382,7 +375,7 @@ def kernel_checks(cert: KernelCertificate, psd_tol: float | None = None) -> dict
         result["psd_ok"] = False
         return result
     sym = (k + k.conj().T) / 2
-    ok, low = check_positive_definite(sym, tol=psd_tol, herm_tol=np.inf)
+    ok, low = check_positive_definite(sym, herm_tol=np.inf)
     result["min_eigenvalue"] = low
     result["psd_ok"] = bool(ok)
     return result
@@ -396,7 +389,7 @@ def certificate_to_json(cert, include_space: bool = True) -> dict:
             "radius": cert.radius,
             "m": cert.m,
             "subsets": [
-                [[int(v), int(i)] for v, i in sorted(a)] for a in cert.subsets
+                (np.argwhere(row) + [0, 1]).tolist() for row in cert.member
             ],
         }
     elif isinstance(cert, VectorCertificate):
@@ -455,18 +448,27 @@ def certificate_from_json(obj: dict, space: FiniteMetricSpace | None = None):
         if not isinstance(raw, list):
             raise FormatError("'subsets' must be a list")
         try:
-            subsets = tuple(
-                frozenset(
-                    (_integer(v, "a point"), _integer(i, "a slot"))
-                    for v, i in a
-                )
+            subsets = [
+                [(_integer(v, "a point"), _integer(i, "a slot")) for v, i in a]
                 for a in raw
-            )
+            ]
         except (TypeError, ValueError, FormatError):
             raise FormatError(
                 "subsets must be lists of integer [point, slot] pairs"
             ) from None
-        return SubsetCertificate(space=space, radius=radius, m=m, subsets=subsets)
+        if len(subsets) != space.n:
+            raise FormatError(f"{len(subsets)} subsets for {space.n} points")
+        member = np.zeros((space.n, space.n, m), dtype=bool)
+        for x, pairs in enumerate(subsets):
+            for v, i in pairs:
+                if not 0 <= v < space.n:
+                    raise UnknownPoint(f"subset at {x} uses point {v}")
+                if not 1 <= i <= m:
+                    raise DataError(
+                        f"subset at {x} uses slot {i}, only 1..{m} exist"
+                    )
+                member[x, v, i - 1] = True
+        return SubsetCertificate(space=space, radius=radius, member=member)
     if form == "vector":
         vec = np.zeros((space.n, space.n, m), dtype=np.complex128)
         for rec in _records(obj, 5, "[x, v, slot, re, im]"):

@@ -70,10 +70,6 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _load_space(path: str) -> spaces.FiniteMetricSpace:
-    return spaces.load_space(path)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise UsageError(message)
@@ -142,7 +138,7 @@ def cmd_space_gen(args) -> int:
 
 
 def cmd_space_validate(args) -> int:
-    sp = _load_space(args.input)
+    sp = spaces.load_space(args.input)
     problems = spaces.validate_metric(sp, seed=args.seed or 0)
     if problems:
         for line in problems:
@@ -153,7 +149,7 @@ def cmd_space_validate(args) -> int:
 
 
 def cmd_onl_profile(args) -> int:
-    sp = _load_space(args.space)
+    sp = spaces.load_space(args.space)
     certificate = None
     if args.certificate is not None:
         certificate = _load_certificate(args.certificate, sp, args.loc_radius)
@@ -191,7 +187,7 @@ def cmd_onl_profile(args) -> int:
 
 
 def cmd_cert_build(args) -> int:
-    sp = _load_space(args.space)
+    sp = spaces.load_space(args.space)
     kind = args.kind.replace("-", "_")
     if kind == "ball":
         _require(args.radius is not None, "--radius is required for ball")
@@ -262,7 +258,7 @@ def cmd_cert_check(args) -> int:
 
 
 def cmd_equiv_run(args) -> int:
-    sp = _load_space(args.space)
+    sp = spaces.load_space(args.space)
     certificate = args.certificate
     if certificate not in certs.CERTIFICATE_SOURCES:
         certificate = _load_certificate(certificate, sp, args.loc_radius)
@@ -302,7 +298,7 @@ def cmd_equiv_run(args) -> int:
 
 
 def cmd_cb_check(args) -> int:
-    sp = _load_space(args.space)
+    sp = spaces.load_space(args.space)
     report = duality.sampled_cb_norm_check(
         sp,
         args.band_radius,
@@ -330,15 +326,9 @@ def _add_common(parser, seed_required: bool = False, with_tol: bool = False):
         "--seed",
         type=int,
         required=seed_required,
-        default=None if seed_required else None,
+        default=None,
         help="base seed for every random draw"
         + ("" if seed_required else " (optional here)"),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; execution is sequential (must be >= 1)",
     )
     if with_tol:
         parser.add_argument(
@@ -475,9 +465,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return USAGE_EXIT
     try:
         return args.func(args)
     except UsageError as exc:

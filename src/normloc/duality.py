@@ -57,6 +57,9 @@ from .operators import (
 )
 from .space import FiniteMetricSpace, _integer, geometry_profile
 
+# Additive slack on the floating-point norms in a sampled bound check.
+BOUND_CHECK_SLACK = 1e-9
+
 
 class SchurCPMap:
     """Positive multiplier built from a vector certificate.
@@ -205,7 +208,6 @@ def a_implies_onl_bound(
     band_radius: float,
     samples: int = 0,
     seed: int = 0,
-    slack: float = 1e-9,
 ) -> OnlBound:
     """Quantitative lower bound on compression norms from a certificate.
 
@@ -214,7 +216,7 @@ def a_implies_onl_bound(
     operators in the band are drawn and both conclusions are verified
     numerically: the multiplier moves a by at most epsilon * ||a||, and the
     compressed norm is at least (1 - epsilon) * ||a||, each with additive
-    ``slack`` for the floating-point norms.
+    ``BOUND_CHECK_SLACK`` for the floating-point norms.
     """
     if band_radius < 0:
         raise InvalidRadii(f"band radius must be >= 0, got {band_radius}")
@@ -247,8 +249,8 @@ def a_implies_onl_bound(
             compressed = compress(a, certificate.radius)
             moved = operator_norm(a - phi_apply(cp, compressed))
             loc = compressed.norm()
-            multiplier_ok = moved <= epsilon * norm_a + slack
-            lower_ok = (1.0 - epsilon) * norm_a <= loc + slack
+            multiplier_ok = moved <= epsilon * norm_a + BOUND_CHECK_SLACK
+            lower_ok = (1.0 - epsilon) * norm_a <= loc + BOUND_CHECK_SLACK
             checks.append(
                 {
                     "seed": int(s),

@@ -29,6 +29,10 @@ from .errors import (
 # Above this size the exact triangle-inequality sweep is replaced by seeded
 # sampling of triples; every space used by the bundled experiments is smaller.
 EXACT_VALIDATION_LIMIT = 512
+# Triples drawn by that sampling.
+VALIDATION_SAMPLE_TRIPLES = 200_000
+# Violations reported before the rest are suppressed.
+VALIDATION_MAX_MESSAGES = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,18 +411,14 @@ def restrict(
     )
 
 
-def validate_metric(
-    space: FiniteMetricSpace,
-    seed: int = 0,
-    sample_triples: int = 200_000,
-    max_messages: int = 20,
-) -> list[str]:
+def validate_metric(space: FiniteMetricSpace, seed: int = 0) -> list[str]:
     """Check the metric axioms; return a list of human-readable violations.
 
     An empty list means the table passed.  Diagonal, positivity and symmetry
     are always checked exactly.  The triangle inequality is checked exactly
     up to ``EXACT_VALIDATION_LIMIT`` points and by seeded sampling of triples
-    beyond that.  Message prefixes (``diagonal:``, ``positivity:``,
+    beyond that (``VALIDATION_SAMPLE_TRIPLES`` triples).  At most
+    ``VALIDATION_MAX_MESSAGES`` violations are listed.  Message prefixes (``diagonal:``, ``positivity:``,
     ``symmetry:``, ``triangle:``, ``finite:``) are stable.
     """
     d = space.dist
@@ -427,10 +427,10 @@ def validate_metric(
 
     def report(msg: str) -> bool:
         # Returns False once the message budget is exhausted.
-        if len(problems) < max_messages:
+        if len(problems) < VALIDATION_MAX_MESSAGES:
             problems.append(msg)
             return True
-        if len(problems) == max_messages:
+        if len(problems) == VALIDATION_MAX_MESSAGES:
             problems.append("... further violations suppressed")
         return False
 
@@ -469,7 +469,7 @@ def validate_metric(
         return problems
 
     rng = np.random.default_rng(seed)
-    triples = rng.integers(0, n, size=(sample_triples, 3))
+    triples = rng.integers(0, n, size=(VALIDATION_SAMPLE_TRIPLES, 3))
     y, k, z = triples[:, 0], triples[:, 1], triples[:, 2]
     bad = np.flatnonzero(d[y, z] > d[y, k] + d[k, z])
     for i in bad:

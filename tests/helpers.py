@@ -159,3 +159,67 @@ def literal_refine_ratio(
             step /= 2
             halvings += 1
     return best, accepted, halvings
+
+
+def literal_tree_ray_subsets(space, length: int, root: int = 0) -> tuple:
+    """Tree-ray subsets as sets of (point, slot) pairs, one walk per point.
+
+    Each vertex's parent is looked up on its own; the ray from x follows
+    parents until it holds ``length`` vertices or reaches the root, and is
+    then padded with root copies in slots 2, 3, ... up to ``length``
+    members.
+    """
+    d = space.dist
+    depth = d[root]
+    parent = {}
+    for v in range(space.n):
+        if v != root:
+            (parent[v],) = np.flatnonzero((d[v] == 1) & (depth == depth[v] - 1))
+    subsets = []
+    for x in range(space.n):
+        ray = [x]
+        while len(ray) < length and ray[-1] != root:
+            ray.append(int(parent[ray[-1]]))
+        items = {(v, 1) for v in ray}
+        pad_slot = 2
+        while len(items) < length:
+            items.add((root, pad_slot))
+            pad_slot += 1
+        subsets.append(frozenset(items))
+    return tuple(subsets)
+
+
+def literal_ball_subsets(space, radius: float) -> tuple:
+    """The ball around each point as a set of (point, slot 1) pairs."""
+    return tuple(
+        frozenset((int(v), 1) for v in np.flatnonzero(space.dist[x] <= radius))
+        for x in range(space.n)
+    )
+
+
+def pairs_to_table(subsets, n: int, m: int) -> np.ndarray:
+    """Boolean (n, n, m) membership table of (point, slot) pair sets."""
+    table = np.zeros((n, n, m), dtype=bool)
+    for x, pairs in enumerate(subsets):
+        for v, slot in pairs:
+            table[x, v, slot - 1] = True
+    return table
+
+
+def literal_subset_vectors(subsets, n: int, m: int):
+    """Normalized indicator vectors and exact Gram, built pair by pair.
+
+    Returns ``(vectors, exact)`` where ``exact`` is ``(counts, size)`` from
+    set intersections when every subset has one size, else None.
+    """
+    vectors = np.zeros((n, n, m), dtype=np.complex128)
+    for x, pairs in enumerate(subsets):
+        for v, slot in pairs:
+            vectors[x, v, slot - 1] = 1.0 / np.sqrt(float(len(pairs)))
+    sizes = {len(pairs) for pairs in subsets}
+    if len(sizes) != 1:
+        return vectors, None
+    counts = np.array(
+        [[len(a & b) for b in subsets] for a in subsets], dtype=np.int64
+    )
+    return vectors, (counts, sizes.pop())

@@ -4,27 +4,60 @@ import numpy as np
 import pytest
 
 import normloc as nl
+from helpers import (
+    literal_ball_subsets,
+    literal_subset_vectors,
+    literal_tree_ray_subsets,
+    pairs_to_table,
+)
 
 
 def test_ball_certificate_structure(c6):
     cert = nl.ball_certificate(c6, 1)
     assert cert.sizes == (3,) * 6
     assert cert.m == 1
-    assert (0, 1) in cert.subsets[1]
-    assert (2, 1) in cert.subsets[1]
+    assert cert.member.shape == (6, 6, 1) and cert.member.dtype == bool
+    assert cert.member[1, 0, 0] and cert.member[1, 2, 0]
+    with pytest.raises(ValueError):
+        cert.member[1, 3, 0] = True
 
 
 def test_subset_certificate_validation(c6):
-    with pytest.raises(nl.EmptySubset):
-        nl.SubsetCertificate(c6, 1, 1, (frozenset(),) * 6)
-    far = tuple(frozenset({(int((x + 3) % 6), 1)}) for x in range(6))
-    with pytest.raises(nl.DataError):
-        nl.SubsetCertificate(c6, 1, 1, far)
-    bad_slot = tuple(frozenset({(x, 2)}) for x in range(6))
-    with pytest.raises(nl.DataError):
-        nl.SubsetCertificate(c6, 1, 1, bad_slot)
+    own = np.eye(6, dtype=bool)[:, :, None]
+    assert nl.SubsetCertificate(c6, 0, own).sizes == (1,) * 6
+    empty_row = own.copy()
+    empty_row[4] = False
+    with pytest.raises(nl.EmptySubset, match="point 4"):
+        nl.SubsetCertificate(c6, 1, empty_row)
+    far = own.copy()
+    far[0, 3, 0] = True
+    with pytest.raises(nl.DataError, match="distance 3"):
+        nl.SubsetCertificate(c6, 1, far)
+    with pytest.raises(nl.FormatError):
+        nl.SubsetCertificate(c6, 1, own.astype(np.int64))
+    for shape in ((6, 6), (6, 5, 1), (5, 6, 1), (6, 6, 0), (6, 6, 1, 1)):
+        with pytest.raises(nl.FormatError):
+            nl.SubsetCertificate(c6, 1, np.ones(shape, dtype=bool))
+    for radius in (-1, float("nan")):
+        with pytest.raises(nl.InvalidParams):
+            nl.SubsetCertificate(c6, radius, own)
+
+
+def test_subset_document_validation(c6):
+    def doc(subsets):
+        return {"form": "subset", "radius": 1, "m": 1, "subsets": subsets,
+                "space": nl.space_to_json(c6)}
+
+    own = [[[x, 1]] for x in range(6)]
+    assert nl.certificate_from_json(doc(own)).sizes == (1,) * 6
     with pytest.raises(nl.UnknownPoint):
-        nl.SubsetCertificate(c6, 1, 1, (frozenset({(9, 1)}),) * 6)
+        nl.certificate_from_json(doc([[[9, 1]]] + own[1:]))
+    with pytest.raises(nl.DataError, match="slot 2"):
+        nl.certificate_from_json(doc(own[:5] + [[[5, 2]]]))
+    with pytest.raises(nl.FormatError, match="5 subsets for 6 points"):
+        nl.certificate_from_json(doc(own[:5]))
+    with pytest.raises(nl.EmptySubset):
+        nl.certificate_from_json(doc(own[:2] + [[]] + own[3:]))
 
 
 def test_subset_to_vector_unit_norms_and_support(c6):
@@ -109,9 +142,45 @@ def test_tree_ray_depth_shallower_than_ray():
     cert = nl.tree_ray_certificate(bt, 6)
     assert set(cert.sizes) == {6}
     # root set is the root plus five padding slots
-    assert cert.subsets[0] == frozenset(
-        {(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)}
-    )
+    assert np.argwhere(cert.member[0]).tolist() == [[0, s] for s in range(6)]
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_tree_ray_matches_literal_walk(depth):
+    bt = nl.generate_family("binary_tree", {"depth": depth})
+    for root in sorted({0, bt.n // 2, bt.n - 1}):
+        for length in range(1, depth + 4):
+            cert = nl.tree_ray_certificate(bt, length, root=root)
+            expected = pairs_to_table(
+                literal_tree_ray_subsets(bt, length, root), bt.n, length
+            )
+            assert np.array_equal(cert.member, expected), (root, length)
+
+
+def test_ball_certificate_is_the_distance_test(c60, btree6, grid8):
+    for sp, radius in ((c60, 10), (btree6, 5), (grid8, 5), (grid8, 0)):
+        member = nl.ball_certificate(sp, radius).member
+        assert np.array_equal(member[..., 0], sp.dist <= radius)
+
+
+def test_subset_to_vector_matches_pair_oracle(c60, btree6, grid8):
+    bt3 = nl.generate_family("binary_tree", {"depth": 3})
+    cases = [
+        (nl.ball_certificate(c60, 10), literal_ball_subsets(c60, 10)),
+        (nl.ball_certificate(btree6, 5), literal_ball_subsets(btree6, 5)),
+        (nl.ball_certificate(grid8, 5), literal_ball_subsets(grid8, 5)),
+        (nl.tree_ray_certificate(bt3, 4), literal_tree_ray_subsets(bt3, 4)),
+    ]
+    for cert, subsets in cases:
+        n, m = cert.space.n, cert.m
+        vectors, exact = literal_subset_vectors(subsets, n, m)
+        vec = nl.subset_to_vector(cert)
+        assert vec.vectors.tobytes() == vectors.tobytes()
+        if exact is None:
+            assert vec.exact_gram is None
+        else:
+            assert vec.exact_gram[0].tobytes() == exact[0].tobytes()
+            assert vec.exact_gram[1] == exact[1]
 
 
 def test_tree_ray_rejects_non_trees(c6):
@@ -188,7 +257,7 @@ def test_certificate_json_round_trip(c6, form):
     assert type(back) is type(cert)
     assert back.radius == cert.radius
     if form == "subset":
-        assert back.subsets == cert.subsets
+        assert np.array_equal(back.member, cert.member)
     elif form == "vector":
         assert np.array_equal(back.vectors, cert.vectors)
     else:
@@ -244,18 +313,13 @@ def test_exact_gram_must_match_the_vectors(c6):
         lambda bt, c6: nl.sampled_cb_norm_check(
             c6, 1, 2, amplification=2.5, samples=1
         ),
+        lambda bt, c6: nl.SubsetCertificate(c6, 1, np.eye(6)[:, :, None]),
         lambda bt, c6: nl.SubsetCertificate(
-            c6, 1, 1, (frozenset({(0.9, 1)}),) * 6
-        ),
-        lambda bt, c6: nl.SubsetCertificate(
-            c6, 1, 1, (frozenset({(0, True)}),) * 6
-        ),
-        lambda bt, c6: nl.SubsetCertificate(
-            c6, 1, 1.0, (frozenset({(0, 1)}),) * 6
+            c6, 1, np.eye(6, dtype=np.int64)[:, :, None]
         ),
     ],
     ids=["ray-length", "power", "amplification", "float-member",
-         "bool-slot", "float-slots"],
+         "int-member"],
 )
 def test_library_callers_need_integers(c6, call):
     bt = nl.generate_family("binary_tree", {"depth": 3})

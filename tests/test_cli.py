@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -216,13 +217,6 @@ def test_cert_check_malformed_document_exit_3(tmp_path, capsys, doc, message):
     assert message in captured.err
 
 
-def test_threads_flag(tmp_path):
-    path = tmp_path / "c.json"
-    base = ["space", "gen", "--kind", "cycle", "--n", "6", "--out", str(path)]
-    assert main(base + ["--threads", "0"]) == 2
-    assert main(base + ["--threads", "2"]) == 0
-
-
 def test_onl_profile_deterministic_outputs(tmp_path, capsys):
     path = _space_file(tmp_path, n=12)
     capsys.readouterr()
@@ -270,6 +264,45 @@ def test_cert_build_and_check_all_forms(tmp_path, capsys):
         text = capsys.readouterr().out
         assert f"form: {form}" in text
         assert "verdict: pass" in text
+
+
+@pytest.mark.parametrize(
+    "gen, build, digest, subsets",
+    [
+        (
+            ["--kind", "cycle", "--n", "6"],
+            ["--kind", "ball", "--radius", "1"],
+            "611810166d625658a373b13afbc6cafd90d9b0682266dfdea2cc7faa912f31eb",
+            [[[0, 1], [1, 1], [5, 1]], [[0, 1], [1, 1], [2, 1]],
+             [[1, 1], [2, 1], [3, 1]], [[2, 1], [3, 1], [4, 1]],
+             [[3, 1], [4, 1], [5, 1]], [[0, 1], [4, 1], [5, 1]]],
+        ),
+        (
+            ["--kind", "binary-tree", "--depth", "2"],
+            ["--kind", "tree-ray", "--length", "6"],
+            "7d27c33412bd6550ca2600023e062d58a82293192fcabe9cc699ee36d50c414f",
+            [[[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6]],
+             [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 1]],
+             [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [2, 1]],
+             [[0, 1], [0, 2], [0, 3], [0, 4], [1, 1], [3, 1]],
+             [[0, 1], [0, 2], [0, 3], [0, 4], [1, 1], [4, 1]],
+             [[0, 1], [0, 2], [0, 3], [0, 4], [2, 1], [5, 1]],
+             [[0, 1], [0, 2], [0, 3], [0, 4], [2, 1], [6, 1]]],
+        ),
+    ],
+    ids=["ball-cycle-6", "tree-ray-depth-2"],
+)
+def test_cert_build_subset_golden_bytes(tmp_path, gen, build, digest, subsets):
+    space = str(tmp_path / "space.json")
+    out = tmp_path / "cert.json"
+    assert main(["space", "gen", *gen, "--out", space]) == 0
+    assert main(
+        ["cert", "build", "--space", space, *build, "--form", "subset",
+         "--out", str(out)]
+    ) == 0
+    data = out.read_bytes()
+    assert json.loads(data)["subsets"] == subsets
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_cert_check_reports_exact_epsilon(tmp_path, capsys):
