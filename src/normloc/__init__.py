@@ -30,12 +30,9 @@ from .duality import (
     kernel_from_cp_map,
     phi_apply,
     sampled_cb_norm_check,
-    schur_multiply,
-    schur_norm_bound,
     schur_test_kappa,
 )
 from .errors import (
-    AllWeightsZero,
     ConvergenceFailure,
     DataError,
     DegenerateWitness,
@@ -67,16 +64,12 @@ from .localization import (
     support_diameter,
     vector_amplification_reduction,
     vector_point_support,
-    weighted_reduction,
 )
 from .operators import (
     BandedOperator,
     adjacency,
     identity,
-    max_abs_entry,
-    operator_from_json,
     operator_norm,
-    operator_to_json,
     propagation,
     random_banded,
     top_singular_pair,
@@ -92,8 +85,6 @@ from .space import (
     generate_family,
     geometry_profile,
     load_space,
-    restrict,
-    save_space,
     space_from_json,
     space_to_json,
     validate_metric,

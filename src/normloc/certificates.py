@@ -327,11 +327,11 @@ def kernel_deviation(cert: KernelCertificate, radius: float) -> float:
 
 
 def check_positive_definite(
-    table: np.ndarray, tol: float | None = None, herm_tol: float = HERMITIAN_TOL
+    table: np.ndarray, herm_tol: float = HERMITIAN_TOL
 ) -> tuple[bool, float]:
     """(is positive semidefinite up to tol, smallest eigenvalue).
 
-    Rejects tables that are not Hermitian within ``herm_tol``.  The default
+    Rejects tables that are not Hermitian within ``herm_tol``.  The
     tolerance scales with size and magnitude: 1e-8 * n * max|k|.
     """
     table = np.asarray(table, dtype=np.complex128)
@@ -340,9 +340,8 @@ def check_positive_definite(
         raise NotHermitian(f"kernel deviates from Hermitian by {herm_err}")
     eigs = np.linalg.eigvalsh(table)
     low = float(eigs.min())
-    if tol is None:
-        scale = float(np.abs(table).max()) if table.size else 0.0
-        tol = 1e-8 * table.shape[0] * scale
+    scale = float(np.abs(table).max()) if table.size else 0.0
+    tol = 1e-8 * table.shape[0] * scale
     return low >= -tol, low
 
 
@@ -353,7 +352,7 @@ def kernel_checks(cert: KernelCertificate) -> dict:
     ``psd_ok``, ``measured_propagation``, ``claimed_propagation``.  The
     minimum eigenvalue is computed on the Hermitized table when the raw one
     is slightly asymmetric, and reported as None when it is not Hermitian
-    even approximately; ``psd_ok`` applies the size-scaled default tolerance
+    even approximately; ``psd_ok`` applies the size-scaled tolerance
     of :func:`check_positive_definite`.
     """
     k = cert.table
@@ -381,7 +380,7 @@ def kernel_checks(cert: KernelCertificate) -> dict:
     return result
 
 
-def certificate_to_json(cert, include_space: bool = True) -> dict:
+def certificate_to_json(cert) -> dict:
     """Serialize any certificate form; sparse, row-major, deterministic."""
     if isinstance(cert, SubsetCertificate):
         out = {
@@ -418,12 +417,11 @@ def certificate_to_json(cert, include_space: bool = True) -> dict:
         }
     else:
         raise FormatError(f"not a certificate: {type(cert).__name__}")
-    if include_space:
-        out["space"] = space_to_json(cert.space)
+    out["space"] = space_to_json(cert.space)
     return out
 
 
-def certificate_from_json(obj: dict, space: FiniteMetricSpace | None = None):
+def certificate_from_json(obj: dict):
     """Read a certificate document of any form.
 
     Exact Gram tables are not serialized; reload a subset-form document and
@@ -431,10 +429,9 @@ def certificate_from_json(obj: dict, space: FiniteMetricSpace | None = None):
     """
     if not isinstance(obj, dict) or "form" not in obj:
         raise FormatError("certificate document needs a 'form' field")
-    if space is None:
-        if "space" not in obj:
-            raise FormatError("certificate document needs an embedded 'space'")
-        space = space_from_json(obj["space"])
+    if "space" not in obj:
+        raise FormatError("certificate document needs an embedded 'space'")
+    space = space_from_json(obj["space"])
     form = obj["form"]
     radius = obj.get("radius")
     if type(radius) not in (int, float) or not np.isfinite(radius):

@@ -48,12 +48,9 @@ from .localization import (
 from .operators import (
     BandedOperator,
     adjacency,
-    max_abs_entry,
     operator_norm,
-    propagation,
     random_banded,
     same_space,
-    top_singular_values,
 )
 from .space import FiniteMetricSpace, _integer, geometry_profile
 
@@ -112,23 +109,6 @@ def phi_apply(cp: SchurCPMap, compressed: BlockCompression) -> BandedOperator:
     return BandedOperator(source.space, source.m, data, support)
 
 
-def schur_multiply(a: BandedOperator, kernel) -> BandedOperator:
-    """Entrywise product of an operator with a kernel (point-level)."""
-    if isinstance(kernel, KernelCertificate):
-        if not same_space(a.space, kernel.space):
-            raise DataError("operator and kernel live on different spaces")
-        table = kernel.table
-    else:
-        table = np.asarray(kernel, dtype=np.complex128)
-        if table.shape != (a.n, a.n):
-            raise DataError(
-                f"kernel shape {table.shape} does not match n = {a.n}"
-            )
-    data = _expand_weights(table, a.m) * a.data
-    support = a.support & (table != 0)
-    return BandedOperator(a.space, a.m, data, support)
-
-
 def schur_test_kappa(space: FiniteMetricSpace, radius: float) -> int:
     """Largest ball size at the radius; the Schur-test band constant.
 
@@ -137,26 +117,6 @@ def schur_test_kappa(space: FiniteMetricSpace, radius: float) -> int:
     kappa times the largest entry magnitude.
     """
     return geometry_profile(space, radius).max_ball
-
-
-def schur_norm_bound(a: BandedOperator, radius: float | None = None) -> float:
-    """Upper bound kappa * max entry for a banded operator.
-
-    ``radius`` defaults to the measured propagation.  For multi-slot
-    operators the entry magnitude is the largest block spectral norm.
-    """
-    band = propagation(a) if radius is None else radius
-    kappa = schur_test_kappa(a.space, band)
-    if a.m == 1:
-        peak = max_abs_entry(a)
-    else:
-        blocks = (
-            a.data.reshape(a.n, a.m, a.n, a.m)
-            .transpose(0, 2, 1, 3)
-            .reshape(a.n * a.n, a.m, a.m)
-        )
-        peak = float(top_singular_values(blocks).max())
-    return kappa * peak
 
 
 def _frac_str(f: Fraction | None) -> str | None:

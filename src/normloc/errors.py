@@ -63,9 +63,5 @@ class DegenerateWitness(VerificationError):
     """A localization search produced an identically zero candidate vector."""
 
 
-class AllWeightsZero(DataError):
-    """A reduction by weights received a weight vector with empty support."""
-
-
 class ConvergenceFailure(NormlocError):
     """An iterative solver exhausted its iteration budget."""

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AllWeightsZero,
     DegenerateWitness,
     InvalidParams,
     InvalidRadii,
@@ -43,7 +42,6 @@ from .space import (
     FiniteMetricSpace,
     _integer,
     ball_index,
-    restrict,
     size_groups,
 )
 
@@ -596,34 +594,6 @@ def vector_amplification_reduction(a: BandedOperator) -> ReductionResult:
         compressed_norm=compressed_norm,
         achieved_fraction=compressed_norm / sigma,
     )
-
-
-def weighted_reduction(a: BandedOperator, weights) -> BandedOperator:
-    """Flatten an operator on a weighted space onto the plain one.
-
-    ``weights`` are nonnegative point masses; points of zero mass carry no
-    vectors and are dropped.  The returned operator acts on the restricted
-    unweighted space and represents the same operator under the isometry
-    that rescales coordinates by the square roots of the weights, so its
-    operator norm equals the weighted-space norm of the input.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (a.n,):
-        raise InvalidParams(
-            f"weights shape {weights.shape} does not match n = {a.n}"
-        )
-    if (weights < 0).any():
-        raise InvalidParams("weights must be nonnegative")
-    keep = np.flatnonzero(weights > 0)
-    if keep.size == 0:
-        raise AllWeightsZero("no point carries positive weight")
-    sub_space = restrict(a.space, keep, name=f"{a.space.name}_weighted")
-    idx = expand_indices(keep, a.m)
-    block = a.data[np.ix_(idx, idx)]
-    scale = np.repeat(np.sqrt(weights[keep]), a.m)
-    data = (scale[:, None] * block) / scale[None, :]
-    support = a.support[np.ix_(keep, keep)]
-    return BandedOperator(sub_space, a.m, data, support)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,16 +19,11 @@ from .errors import (
     DataError,
     FormatError,
     InvalidParams,
-    UnknownPoint,
 )
 from .space import (
     FiniteMetricSpace,
     _integer,
-    _number,
-    _records,
     check_point,
-    space_from_json,
-    space_to_json,
 )
 
 # Dense spectral norms are cheap up to this matrix side; beyond it the
@@ -55,7 +50,8 @@ class BandedOperator:
     ``z`` is ``data[y*m:(y+1)*m, z*m:(z+1)*m]``.  ``support`` has shape
     ``(n, n)``; the constructor verifies that every block outside it is
     exactly zero.  Pass ``support=None`` to derive the mask from the nonzero
-    pattern of the data.
+    pattern of the data.  A non-integer ``m`` raises :class:`FormatError`
+    and a NaN or infinite entry raises :class:`DataError`.
     """
 
     space: FiniteMetricSpace
@@ -65,7 +61,7 @@ class BandedOperator:
 
     def __post_init__(self) -> None:
         n = self.space.n
-        m = int(self.m)
+        m = _integer(self.m, "the slot count")
         if m < 1:
             raise InvalidParams(f"slot count must be >= 1, got {m}")
         data = np.array(self.data, dtype=np.complex128)
@@ -73,6 +69,8 @@ class BandedOperator:
             raise FormatError(
                 f"data shape {data.shape} does not match n*m = {n * m}"
             )
+        if not np.isfinite(data).all():
+            raise DataError("operator data has NaN or infinite entries")
         blocks_nonzero = (
             (data != 0).reshape(n, m, n, m).any(axis=(1, 3))
         )
@@ -173,9 +171,9 @@ class BandedOperator:
         )
 
 
-def identity(space: FiniteMetricSpace, m: int = 1) -> BandedOperator:
+def identity(space: FiniteMetricSpace) -> BandedOperator:
     n = space.n
-    return BandedOperator(space, m, np.eye(n * m), np.eye(n, dtype=bool))
+    return BandedOperator(space, 1, np.eye(n), np.eye(n, dtype=bool))
 
 
 def adjacency(space: FiniteMetricSpace) -> BandedOperator:
@@ -221,10 +219,6 @@ def propagation(a: BandedOperator):
         return 0
     val = a.space.dist[nonzero].max()
     return float(val) if a.space.dist.dtype.kind == "f" else int(val)
-
-
-def max_abs_entry(a: BandedOperator) -> float:
-    return float(np.abs(a.data).max())
 
 
 def _scale_by_powers_of_two(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,71 +354,3 @@ def operator_norm(a: BandedOperator, method: str = "auto") -> float:
         raise InvalidParams(f"unknown norm method {method!r}")
     return _top_pair(a.data, iterate=True)[0]
 
-
-def operator_to_json(a: BandedOperator, include_space: bool = True) -> dict:
-    """Serializable dict; numerically nonzero entries in row-major order.
-
-    Single-slot entries are ``[y, z, re, im]``.  For ``m > 1`` each record is
-    ``[y, z, block]`` where ``block`` is an m-by-m row-major list of
-    ``[re, im]`` pairs.
-    """
-    n, m = a.n, a.m
-    entries = []
-    if m == 1:
-        for y, z in np.argwhere(a.data != 0):
-            v = a.data[y, z]
-            entries.append([int(y), int(z), float(v.real), float(v.imag)])
-    else:
-        nonzero = (a.data != 0).reshape(n, m, n, m).any(axis=(1, 3))
-        for y, z in np.argwhere(nonzero):
-            block = a.block(int(y), int(z))
-            entries.append(
-                [
-                    int(y),
-                    int(z),
-                    [
-                        [[float(v.real), float(v.imag)] for v in row]
-                        for row in block
-                    ],
-                ]
-            )
-    out: dict = {"m": m, "entries": entries}
-    if include_space:
-        out["space"] = space_to_json(a.space)
-    return out
-
-
-def operator_from_json(
-    obj: dict, space: FiniteMetricSpace | None = None
-) -> BandedOperator:
-    """Read an operator document, rejecting entries outside its space."""
-    if not isinstance(obj, dict):
-        raise FormatError("operator document must be a JSON object")
-    if space is None:
-        if "space" not in obj:
-            raise FormatError("operator document needs an embedded 'space'")
-        space = space_from_json(obj["space"])
-    m = _integer(obj.get("m", 1), "'m'")
-    if m < 1:
-        raise FormatError(f"slot count must be >= 1, got {m}")
-    n = space.n
-    data = np.zeros((n * m, n * m), dtype=np.complex128)
-    width, layout = (4, "[y, z, re, im]") if m == 1 else (3, "[y, z, block]")
-    for rec in _records(obj, width, layout):
-        y, z = (_integer(f, "an operator index") for f in rec[:2])
-        if not (0 <= y < n and 0 <= z < n):
-            raise UnknownPoint(f"entry at ({y}, {z}) outside space of size {n}")
-        try:
-            block = np.array([
-                [_number(re, "a coefficient") + 1j * _number(im, "a coefficient")
-                 for re, im in row]
-                for row in ([[rec[2:]]] if m == 1 else rec[2])
-            ])
-        except (TypeError, ValueError):
-            block = None
-        if block is None or block.shape != (m, m):
-            raise FormatError(
-                f"block at ({y}, {z}) is not {m} rows of {m} [re, im] pairs"
-            )
-        data[y * m : (y + 1) * m, z * m : (z + 1) * m] = block
-    return BandedOperator(space, m, data)

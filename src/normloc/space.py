@@ -39,9 +39,9 @@ VALIDATION_MAX_MESSAGES = 20
 class FiniteMetricSpace:
     """A finite metric space: labelled points and a distance table.
 
-    The constructor only enforces shape consistency, so syntactically valid
-    but metrically broken tables can be built and then fed to
-    :func:`validate_metric`.  The distance table is copied and frozen.  The
+    The constructor enforces shape consistency and finite distances
+    (:class:`FormatError`), so syntactically valid but metrically broken
+    tables can be built and then fed to :func:`validate_metric`.  The distance table is copied and frozen.  The
     space keeps the ball indexes built on it, one per radius (see
     :func:`ball_index`).
     """
@@ -65,6 +65,8 @@ class FiniteMetricSpace:
             table = table.astype(np.int64)
         else:
             table = table.astype(np.float64)
+            if not np.isfinite(table).all():
+                raise FormatError("distances must be finite")
         table.setflags(write=False)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "dist", table)
@@ -230,7 +232,6 @@ def _hop_distances(n: int, pairs: np.ndarray, sources) -> np.ndarray:
 def from_graph(
     n: int,
     edges,
-    labels: tuple[str, ...] | None = None,
     name: str = "graph",
 ) -> FiniteMetricSpace:
     """Shortest-path metric of a connected undirected graph.
@@ -254,8 +255,7 @@ def from_graph(
     dist = _hop_distances(n, pairs, np.arange(n))
     if (dist < 0).any():
         raise DisconnectedGraph(f"graph {name!r} is not connected")
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
+    labels = tuple(str(i) for i in range(n))
     return FiniteMetricSpace(labels=labels, dist=dist, name=name)
 
 
@@ -395,22 +395,6 @@ def generate_family(
     raise InvalidParams(f"unknown family kind {kind!r}")
 
 
-def restrict(
-    space: FiniteMetricSpace, points, name: str | None = None
-) -> FiniteMetricSpace:
-    """Sub-metric space on the given points (with the inherited metric)."""
-    idx = np.array([check_point(space, p) for p in points], dtype=np.int64)
-    if idx.size == 0:
-        raise InvalidParams("cannot restrict to an empty point set")
-    if len(set(idx.tolist())) != idx.size:
-        raise InvalidParams("restriction points must be distinct")
-    labels = tuple(space.labels[i] for i in idx)
-    sub = space.dist[np.ix_(idx, idx)]
-    return FiniteMetricSpace(
-        labels=labels, dist=sub, name=name or f"{space.name}_restricted"
-    )
-
-
 def validate_metric(space: FiniteMetricSpace, seed: int = 0) -> list[str]:
     """Check the metric axioms; return a list of human-readable violations.
 
@@ -419,7 +403,7 @@ def validate_metric(space: FiniteMetricSpace, seed: int = 0) -> list[str]:
     up to ``EXACT_VALIDATION_LIMIT`` points and by seeded sampling of triples
     beyond that (``VALIDATION_SAMPLE_TRIPLES`` triples).  At most
     ``VALIDATION_MAX_MESSAGES`` violations are listed.  Message prefixes (``diagonal:``, ``positivity:``,
-    ``symmetry:``, ``triangle:``, ``finite:``) are stable.
+    ``symmetry:``, ``triangle:``) are stable.
     """
     d = space.dist
     n = space.n
@@ -433,12 +417,6 @@ def validate_metric(space: FiniteMetricSpace, seed: int = 0) -> list[str]:
         if len(problems) == VALIDATION_MAX_MESSAGES:
             problems.append("... further violations suppressed")
         return False
-
-    if d.dtype.kind == "f" and not np.isfinite(d).all():
-        bad = np.argwhere(~np.isfinite(d))
-        for y, z in bad[:3]:
-            report(f"finite: d({y}, {z}) is not finite")
-        return problems
 
     for x in np.flatnonzero(np.diagonal(d) != 0):
         if not report(f"diagonal: d({x}, {x}) = {d[x, x]} != 0"):
@@ -564,12 +542,6 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
             raise FormatError("'edges' must be a list of [u, v] pairs")
         return from_graph(n, edges, name=str(obj.get("name", "graph")))
     raise FormatError("space document needs either 'dist' or 'n'+'edges'")
-
-
-def save_space(space: FiniteMetricSpace, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(space_to_json(space), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_space(path: str) -> FiniteMetricSpace:

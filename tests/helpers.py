@@ -111,6 +111,22 @@ def literal_kernel_from_cp_map(cp) -> np.ndarray:
     return table
 
 
+def literal_schur_multiply(a, table):
+    """Entrywise product of an operator with a point-level table.
+
+    Each (m, m) block of ``a`` is scaled by its table entry, one block at a
+    time; the support keeps the pairs where the table is nonzero.
+    """
+    table = np.asarray(table, dtype=np.complex128)
+    m = a.m
+    data = np.zeros_like(a.data)
+    for y in range(a.n):
+        for z in range(a.n):
+            rows, cols = slice(y * m, (y + 1) * m), slice(z * m, (z + 1) * m)
+            data[rows, cols] = table[y, z] * a.data[rows, cols]
+    return nl.BandedOperator(a.space, m, data, a.support & (table != 0))
+
+
 def literal_refine_ratio(
     space, loc_radius, band_radius, start, start_ratio, budget, rng
 ):

@@ -1,0 +1,68 @@
+"""Every name the package exports is reached by the code it ships.
+
+A name is reached when perfbench reads it, when module-level code of the
+package reads it (imports aside), or when the body of a reached function
+or class reads it.  An export that only its own tests call is dead API.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "normloc"
+
+
+def _reads(node) -> set:
+    """Every name and attribute name read in a syntax tree."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _exports() -> set:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _reached() -> set:
+    bodies: dict = {}
+    reached = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, []).append(node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= _reads(node)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reached |= _reads(tree)
+        # the tracer names the functions it wraps in strings such as
+        # "BandedOperator.__matmul__"; prose (docstrings) names nothing
+        reached |= {
+            word
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and re.fullmatch(r"[\w.]+", n.value)
+            for word in n.value.split(".")
+        }
+    todo = list(reached)
+    while todo:
+        for node in bodies.pop(todo.pop(), ()):
+            new = _reads(node) - reached
+            reached |= new
+            todo.extend(new)
+    return reached
+
+
+def test_every_export_is_reached():
+    assert sorted(_exports() - _reached()) == []

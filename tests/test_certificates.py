@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normloc as nl
 from helpers import (
@@ -325,3 +327,78 @@ def test_library_callers_need_integers(c6, call):
     bt = nl.generate_family("binary_tree", {"depth": 3})
     with pytest.raises(nl.FormatError):
         call(bt, c6)
+
+
+# Documents are mostly well formed, with any field possibly replaced by a
+# JSON value of another kind, so that the fuzz reaches every check of the
+# readers.  Integers stay small: the readers allocate tables of the sizes a
+# document declares (n x n hop counts, n x n x m members) before any size
+# check, so a huge count exhausts memory instead of raising DataError (an
+# open fault).
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=2)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=1), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _mostly(valid, other=_JUNK):
+    """``valid`` four times in five, otherwise ``other``."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else other)
+
+
+_INDEX = _mostly(st.integers(-1, 3))
+_NUMBER = _mostly(
+    st.integers(0, 2) | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+def _rows(*fields):
+    return _mostly(st.lists(_mostly(st.tuples(*fields).map(list)), max_size=6))
+
+
+_DIST_DOCS = st.fixed_dictionaries(
+    {"dist": _mostly(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_NUMBER, min_size=n, max_size=n),
+                           min_size=n, max_size=n)))},
+    optional={"labels": _mostly(st.lists(st.text(max_size=2), max_size=4)),
+              "name": _JUNK},
+)
+_GRAPH_DOCS = st.fixed_dictionaries(
+    {"n": _mostly(st.integers(-1, 4)), "edges": _rows(_INDEX, _INDEX)},
+    optional={"name": _JUNK},
+)
+_SPACE_DOCS = _mostly(_DIST_DOCS | _GRAPH_DOCS)
+_CERT_DOCS = st.fixed_dictionaries(
+    {
+        "form": _mostly(st.sampled_from(["subset", "vector", "kernel"])),
+        "space": _mostly(
+            st.sampled_from([
+                {"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+                {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+            ]),
+            _SPACE_DOCS,
+        ),
+        "radius": _NUMBER,
+        "subsets": _mostly(st.lists(_rows(_INDEX, _INDEX), min_size=3,
+                                    max_size=4)),
+        "entries": _rows(_INDEX, _INDEX, _INDEX, _NUMBER, _NUMBER)
+        | _rows(_INDEX, _INDEX, _NUMBER, _NUMBER),
+    },
+    optional={"m": _mostly(st.integers(-1, 2)), "note": _JUNK},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(nl.space_from_json), _SPACE_DOCS),
+    st.tuples(st.just(nl.certificate_from_json), _CERT_DOCS),
+))
+def test_json_readers_load_or_raise_data_error(case):
+    reader, doc = case
+    try:
+        reader(doc)
+    except nl.DataError:
+        pass

@@ -251,6 +251,24 @@ def test_onl_profile_bad_radii_exit_3(tmp_path):
     ) == 3
 
 
+def test_onl_profile_non_finite_distance_exit_3(tmp_path, capsys):
+    # a NaN distance fails every ball test, so it must never reach a verdict
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"labels": ["a", "b", "c"], '
+        '"dist": [[0, 1, 2], [1, 0, NaN], [2, NaN, 0]]}'
+    )
+    assert main(
+        ["onl", "profile", "--space", str(path), "--band-radius", "1",
+         "--loc-radius", "1", "--samples", "3", "--certificate", "ball",
+         "--seed", "0", "--out", str(tmp_path / "p")]
+    ) == 3
+    captured = capsys.readouterr()
+    assert "distances must be finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.glob("p*"))
+
+
 def test_cert_build_and_check_all_forms(tmp_path, capsys):
     path = _space_file(tmp_path)
     for form in ("subset", "vector", "kernel"):

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 import normloc as nl
-from helpers import dense_norm, literal_kernel_from_cp_map
+from helpers import (
+    dense_norm,
+    literal_kernel_from_cp_map,
+    literal_schur_multiply,
+)
 
 
 def _ball_cp(space, radius):
@@ -20,7 +24,7 @@ def test_phi_agrees_with_schur_multiplication(c60):
     a = nl.random_banded(c60, 1, seed=4)
     comp = nl.compress(a, 5)
     routed = nl.phi_apply(cp, comp)
-    direct = nl.schur_multiply(a, cert.gram())
+    direct = literal_schur_multiply(a, cert.gram())
     assert np.array_equal(routed.to_dense(), direct.to_dense())
     # and compressing the output recovers the Gram-weighted blocks
     out_comp = nl.compress(routed, 5)
@@ -48,7 +52,7 @@ def test_phi_multislot(c6):
     cert, cp = _ball_cp(c6, 2)
     a = nl.random_banded(c6, 1, seed=11, m=2)
     routed = nl.phi_apply(cp, nl.compress(a, 2))
-    direct = nl.schur_multiply(a, cert.gram())
+    direct = literal_schur_multiply(a, cert.gram())
     assert routed.m == 2
     assert np.array_equal(routed.to_dense(), direct.to_dense())
 
@@ -58,14 +62,6 @@ def test_schur_test_kappa_values(c60, grid8):
     assert nl.schur_test_kappa(c60, 2) == 5
     assert nl.schur_test_kappa(grid8, 1) == 5
     assert nl.schur_test_kappa(grid8, 0) == 1
-
-
-def test_schur_norm_bound_sound(c60, grid8):
-    for space in (c60, grid8):
-        for seed in range(10):
-            a = nl.random_banded(space, 2, seed=seed)
-            bound = nl.schur_norm_bound(a)
-            assert nl.operator_norm(a) <= bound * (1 + 1e-12)
 
 
 def test_onl_bound_vacuous_on_small_cycle(c6):

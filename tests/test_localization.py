@@ -355,35 +355,6 @@ def test_amplification_reduction_scalar_input(c6):
         )
 
 
-def test_weighted_reduction_norm_invariance(c6):
-    a = nl.random_banded(c6, 1, seed=9)
-    flat = nl.weighted_reduction(a, np.ones(6))
-    assert abs(nl.operator_norm(flat) - nl.operator_norm(a)) < 1e-12
-    assert flat.space.n == 6
-
-
-def test_weighted_reduction_drops_zero_mass(c6):
-    a = nl.random_banded(c6, 1, seed=9)
-    weights = np.array([1.0, 2.0, 0.0, 1.0, 0.5, 0.0])
-    flat = nl.weighted_reduction(a, weights)
-    assert flat.space.n == 4
-    # conjugation by the square-root weights on the kept points
-    keep = np.flatnonzero(weights > 0)
-    s = np.sqrt(weights[keep])
-    expected = (s[:, None] * a.to_dense()[np.ix_(keep, keep)]) / s[None, :]
-    assert np.abs(flat.to_dense() - expected).max() < 1e-14
-
-
-def test_weighted_reduction_errors(c6):
-    a = nl.adjacency(c6)
-    with pytest.raises(nl.AllWeightsZero):
-        nl.weighted_reduction(a, np.zeros(6))
-    with pytest.raises(nl.InvalidParams):
-        nl.weighted_reduction(a, -np.ones(6))
-    with pytest.raises(nl.InvalidParams):
-        nl.weighted_reduction(a, np.ones(5))
-
-
 def test_onl_profile_deterministic(c6):
     kwargs = dict(samples=6, seed=42, search_budget=30)
     p1 = nl.onl_profile(c6, 1, 2, **kwargs)

@@ -170,54 +170,6 @@ def test_apply(c6):
         a.apply(np.zeros(5))
 
 
-def test_max_abs_entry(c6):
-    a = 3.0 * nl.adjacency(c6)
-    assert nl.max_abs_entry(a) == 3.0
-
-
-def test_operator_json_round_trip(c6):
-    a = nl.random_banded(c6, 1, seed=2)
-    doc = nl.operator_to_json(a)
-    back = nl.operator_from_json(doc)
-    assert np.array_equal(back.to_dense(), a.to_dense())
-    assert back.space.name == c6.name
-
-
-def test_operator_json_round_trip_multislot(c6):
-    a = nl.random_banded(c6, 1, seed=5, m=2)
-    doc = nl.operator_to_json(a)
-    back = nl.operator_from_json(doc)
-    assert np.array_equal(back.to_dense(), a.to_dense())
-    assert back.m == 2
-
-
-def test_operator_json_rejects_out_of_range(c6):
-    doc = {"m": 1, "entries": [[0, 7, 1.0, 0.0]]}
-    with pytest.raises(nl.UnknownPoint):
-        nl.operator_from_json(doc, space=c6)
-    with pytest.raises(nl.FormatError):
-        nl.operator_from_json({"m": 1, "entries": [[0, 1, 1.0]]}, space=c6)
-    with pytest.raises(nl.FormatError):
-        nl.operator_from_json({"entries": []})
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"m": "x", "entries": []},
-        {"m": 1, "entries": [5]},
-        {"m": 1, "entries": [[0, 1, "a", 0.0]]},
-        {"m": 1, "entries": [[0.5, 1, 1.0, 0.0]]},
-        {"m": 2, "entries": [[0, 1, [[[1.0, 0.0]]]]]},
-    ],
-    ids=["string-m", "bare-int-entry", "string-coefficient",
-         "fractional-index", "short-block"],
-)
-def test_operator_json_rejects_malformed(c6, doc):
-    with pytest.raises(nl.FormatError):
-        nl.operator_from_json(doc, space=c6)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_norm_is_subadditive_and_submultiplicative(seed):
@@ -309,19 +261,26 @@ def test_non_finite_entries_raise_data_error(c6, bad):
     stack[1, 2, 0] = bad
     with pytest.raises(nl.DataError):
         nl.top_singular_values(stack)
+    with pytest.raises(nl.DataError):
+        nl.top_singular_pair(stack[1])
     data = nl.adjacency(c6).to_dense()
     data[0, 1] = bad
-    a = nl.BandedOperator(c6, 1, data)
+    # refused at construction, so no norm, compression or search sees it
     with pytest.raises(nl.DataError):
-        nl.operator_norm(a, method="dense")
+        nl.BandedOperator(c6, 1, data)
     with pytest.raises(nl.DataError):
-        nl.operator_norm(a, method="power")
-    with pytest.raises(nl.DataError):
-        nl.vector_amplification_reduction(a)
-    with pytest.raises(nl.DataError):
-        nl.compress(a, 1).norm()
-    with pytest.raises(nl.DataError):
-        nl.best_localized_vector(a, 1)
+        nl.BandedOperator(c6, 1, data, nl.adjacency(c6).support)
+
+
+@pytest.mark.parametrize(
+    "m,error",
+    [(1.7, nl.FormatError), (True, nl.FormatError), ("2", nl.FormatError),
+     (2.0, nl.FormatError), (-1, nl.InvalidParams)],
+    ids=["float", "bool", "string", "integral-float", "negative"],
+)
+def test_slot_count_is_a_positive_integer(c6, m, error):
+    with pytest.raises(error):
+        nl.BandedOperator(c6, m, np.eye(6))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
