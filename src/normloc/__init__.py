@@ -24,7 +24,6 @@ from .duality import (
     CbNormReport,
     EquivalenceReport,
     OnlBound,
-    SchurCPMap,
     a_implies_onl_bound,
     equivalence_experiment,
     kernel_from_cp_map,

@@ -32,11 +32,13 @@ from .errors import (
     VerificationError,
 )
 from .space import (
+    MAX_TABLE_ENTRIES,
     FiniteMetricSpace,
     _integer,
     _number,
     _records,
     check_point,
+    largest_distance,
     space_from_json,
     space_to_json,
 )
@@ -98,17 +100,17 @@ class SubsetCertificate:
 class VectorCertificate:
     """Per point x, a unit vector supported in the radius-S ball around x.
 
-    ``vectors[x, v, i]`` is the coefficient of point v, slot i.  Entries
-    outside the ball must be exactly zero; norms must equal 1 up to
-    ``UNIT_NORM_TOL``.  ``exact_gram`` optionally carries the Gram matrix
-    exactly, as a pair ``(counts, size)`` of an integer (n, n) table and one
-    positive denominator (available when the certificate came from
-    equal-size subsets); it must match the vectors' own Gram matrix to 1e-9.
+    ``vectors[x, v, i]`` is the coefficient of point v, slot i, in a table
+    of shape (n, n, m) with ``m >= 1``.  Entries outside the ball must be
+    exactly zero; norms must equal 1 up to ``UNIT_NORM_TOL``.
+    ``exact_gram`` optionally carries the Gram matrix exactly, as a pair
+    ``(counts, size)`` of an integer (n, n) table and one positive
+    denominator (available when the certificate came from equal-size
+    subsets); it must match the vectors' own Gram matrix to 1e-9.
     """
 
     space: FiniteMetricSpace
     radius: float
-    m: int
     vectors: np.ndarray
     exact_gram: tuple | None = None
 
@@ -116,12 +118,10 @@ class VectorCertificate:
         n = self.space.n
         if self.radius < 0:
             raise InvalidParams(f"radius must be nonnegative, got {self.radius}")
-        if _integer(self.m, "the slot count") < 1:
-            raise InvalidParams(f"slot count must be >= 1, got {self.m}")
         vec = np.array(self.vectors, dtype=np.complex128)
-        if vec.shape != (n, n, self.m):
+        if vec.ndim != 3 or vec.shape[:2] != (n, n) or vec.shape[2] < 1:
             raise FormatError(
-                f"vector table shape {vec.shape}, wanted {(n, n, self.m)}"
+                f"vector table shape {vec.shape}, wanted ({n}, {n}, m >= 1)"
             )
         if not np.isfinite(vec).all():
             raise DataError("vector table has a NaN or infinite entry")
@@ -152,6 +152,10 @@ class VectorCertificate:
             object.__setattr__(self, "exact_gram", (counts, size))
         vec.setflags(write=False)
         object.__setattr__(self, "vectors", vec)
+
+    @property
+    def m(self) -> int:
+        return self.vectors.shape[2]
 
     def gram(self) -> np.ndarray:
         """Gram matrix of the vectors, with an exactly-unit diagonal.
@@ -283,7 +287,7 @@ def subset_to_vector(cert: SubsetCertificate) -> VectorCertificate:
         # Intersection counts; a float product counts exactly at these sizes.
         exact = ((member @ member.T).astype(np.int64), int(sizes[0]))
     return VectorCertificate(
-        space=cert.space, radius=cert.radius, m=m, vectors=vec, exact_gram=exact
+        space=cert.space, radius=cert.radius, vectors=vec, exact_gram=exact
     )
 
 
@@ -360,14 +364,11 @@ def kernel_checks(cert: KernelCertificate) -> dict:
     herm_err = float(np.abs(k - k.conj().T).max())
     nonzero = k != 0
     np.fill_diagonal(nonzero, False)
-    measured = float(cert.space.dist[nonzero].max()) if nonzero.any() else 0.0
-    if cert.space.dist.dtype.kind == "i":
-        measured = int(measured)
     result: dict = {
         "diagonal_error": diag_err,
         "hermitian_error": herm_err,
         "claimed_propagation": cert.radius,
-        "measured_propagation": measured,
+        "measured_propagation": largest_distance(cert.space, nonzero),
     }
     if herm_err > 1e-6:
         result["min_eigenvalue"] = None
@@ -440,6 +441,9 @@ def certificate_from_json(obj: dict):
         m = _integer(obj.get("m", 1), "'m'")
         if m < 1:
             raise FormatError(f"slot count must be >= 1, got {m}")
+        entries = space.n**2 * m
+        if entries > MAX_TABLE_ENTRIES:
+            raise DataError(f"{entries} entries exceed {MAX_TABLE_ENTRIES}")
     if form == "subset":
         raw = obj.get("subsets")
         if not isinstance(raw, list):
@@ -476,7 +480,7 @@ def certificate_from_json(obj: dict):
                 raise FormatError(f"slot {slot} outside 1..{m}")
             re, im = (_number(f, "a coefficient") for f in rec[3:])
             vec[x, v, slot - 1] = re + 1j * im
-        return VectorCertificate(space=space, radius=radius, m=m, vectors=vec)
+        return VectorCertificate(space=space, radius=radius, vectors=vec)
     if form == "kernel":
         table = np.zeros((space.n, space.n), dtype=np.complex128)
         for rec in _records(obj, 4, "[y, z, re, im]"):

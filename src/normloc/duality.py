@@ -4,8 +4,9 @@ A vector certificate at radius S induces a completely positive map on the
 image of the ball compression: weight the block at x by the certificate
 vector at x and sum.  Because every compression block is a subread of the
 source operator, that map acts on compressed operators as Schur
-multiplication by the certificate's Gram matrix, which is how it is
-evaluated here (exactly; the two routes are also compared entrywise).
+multiplication by the certificate's Gram matrix, which is how
+:func:`phi_apply` evaluates it, straight from the certificate (the test
+oracles also take the literal route and compare entrywise).
 
 Combining the multiplier with the Schur test on the band gives the
 quantitative bound: for operators of propagation at most R,
@@ -14,8 +15,9 @@ quantitative bound: for operators of propagation at most R,
 
 with kappa the largest R-ball and deficit the worst Gram shortfall on the
 band, hence ||compression(a)|| >= (1 - kappa * deficit) * ||a||.  The
-multiplier's kernel, in closed form the Gram table masked by ball overlap,
-is the Gram matrix again, closing the loop between certificate forms.
+multiplier's kernel is the Gram matrix again, which vanishes between
+points whose balls share no point, closing the loop between certificate
+forms.
 """
 
 from __future__ import annotations
@@ -52,34 +54,15 @@ from .operators import (
     random_banded,
     same_space,
 )
-from .space import FiniteMetricSpace, _integer, geometry_profile
+from .space import (
+    FiniteMetricSpace,
+    _integer,
+    geometry_profile,
+    largest_distance,
+)
 
 # Additive slack on the floating-point norms in a sampled bound check.
 BOUND_CHECK_SLACK = 1e-9
-
-
-class SchurCPMap:
-    """Positive multiplier built from a vector certificate.
-
-    Caches the Gram table and the ball-overlap mask of the certificate
-    radius.  Applying the map to a compression multiplies the source
-    entries by the Gram weights; entries of points with no common ball are
-    killed (their weight is exactly zero).
-    """
-
-    def __init__(self, certificate: VectorCertificate):
-        self.certificate = certificate
-        self.space = certificate.space
-        self.radius = certificate.radius
-        self.gram_table = np.asarray(certificate.gram(), dtype=np.complex128)
-        # A float product runs through BLAS and counts exactly at these sizes.
-        within = (self.space.dist <= self.radius).astype(np.float64)
-        self.overlap = (within @ within) > 0
-
-    def __repr__(self) -> str:
-        return (
-            f"SchurCPMap(space={self.space.name!r}, radius={self.radius})"
-        )
 
 
 def _expand_weights(table: np.ndarray, m: int) -> np.ndarray:
@@ -88,25 +71,25 @@ def _expand_weights(table: np.ndarray, m: int) -> np.ndarray:
     return np.kron(table, np.ones((m, m)))
 
 
-def phi_apply(cp: SchurCPMap, compressed: BlockCompression) -> BandedOperator:
-    """Evaluate the multiplier on a compressed operator.
+def phi_apply(
+    certificate: VectorCertificate, compressed: BlockCompression
+) -> BandedOperator:
+    """Evaluate the certificate's multiplier on a compressed operator.
 
     The compression must have been taken at the certificate radius; the
-    result is the source operator Schur-multiplied by the Gram table, with
-    support cut down to pairs sharing a ball.
+    result is the source operator Schur-multiplied by the Gram table, whose
+    weight between points with no common ball is exactly zero.
     """
-    if compressed.radius != cp.radius:
+    if compressed.radius != certificate.radius:
         raise RadiusMismatch(
-            f"compression at radius {compressed.radius}, map built for "
-            f"{cp.radius}"
+            f"compression at radius {compressed.radius}, certificate at "
+            f"{certificate.radius}"
         )
     source = compressed.source
-    if not same_space(source.space, cp.space):
-        raise DataError("compression and map live on different spaces")
-    weights = _expand_weights(cp.gram_table, source.m)
-    data = weights * source.data
-    support = source.support & cp.overlap
-    return BandedOperator(source.space, source.m, data, support)
+    if not same_space(source.space, certificate.space):
+        raise DataError("compression and certificate live on different spaces")
+    weights = _expand_weights(certificate.gram(), source.m)
+    return BandedOperator(source.space, source.m, weights * source.data)
 
 
 def schur_test_kappa(space: FiniteMetricSpace, radius: float) -> int:
@@ -200,14 +183,13 @@ def a_implies_onl_bound(
     checks = []
     all_verified: bool | None = None
     if samples > 0:
-        cp = SchurCPMap(certificate)
         rng = np.random.default_rng(seed)
         child_seeds = rng.integers(0, 2**63 - 1, size=samples)
         for s in child_seeds:
             a = random_banded(space, band_radius, int(s))
             norm_a = operator_norm(a)
             compressed = compress(a, certificate.radius)
-            moved = operator_norm(a - phi_apply(cp, compressed))
+            moved = operator_norm(a - phi_apply(certificate, compressed))
             loc = compressed.norm()
             multiplier_ok = moved <= epsilon * norm_a + BOUND_CHECK_SLACK
             lower_ok = (1.0 - epsilon) * norm_a <= loc + BOUND_CHECK_SLACK
@@ -239,30 +221,20 @@ def a_implies_onl_bound(
     )
 
 
-def kernel_from_cp_map(cp: SchurCPMap) -> KernelCertificate:
-    """The kernel of the multiplier: the Gram table masked by ball overlap.
+def kernel_from_cp_map(certificate: VectorCertificate) -> KernelCertificate:
+    """The kernel of the certificate's multiplier: its Gram table.
 
-    The multiplier sends e_yz to Gram[y, z] e_yz when y and z share a ball
-    and kills it otherwise.  The table takes the same complex product as
-    the literal route (each matrix unit through compression and
-    :func:`phi_apply`, a test oracle), so the two agree bit for bit.  A
-    negative map radius, a map radius other than the certificate's, or a
-    nonzero Gram weight outside the overlap raises.
+    The multiplier sends e_yz to Gram[y, z] e_yz, which is zero when y and
+    z share no ball.  The table takes the same complex product as the
+    literal route (each matrix unit through compression and
+    :func:`phi_apply`, a test oracle), so the two agree bit for bit.
     """
-    if cp.radius < 0:
-        raise InvalidParams(f"map radius must be nonnegative, got {cp.radius}")
-    if cp.radius != cp.certificate.radius:
-        raise RadiusMismatch(f"map radius {cp.radius} is not its certificate's")
-    table = cp.gram_table * (1 + 0j)
-    if table[~cp.overlap].any():
-        raise DataError("nonzero Gram weight between points with no common ball")
-    space = cp.space
+    table = certificate.gram() * (1 + 0j)
     nonzero = table != 0
     np.fill_diagonal(nonzero, False)
-    prop = space.dist[nonzero].max() if nonzero.any() else 0
     return KernelCertificate(
-        space=space,
-        radius=float(prop) if space.dist.dtype.kind == "f" else int(prop),
+        space=certificate.space,
+        radius=largest_distance(certificate.space, nonzero),
         table=table,
         note="extracted from localization multiplier",
     )
@@ -505,9 +477,8 @@ def equivalence_experiment(
             "certified bound is vacuous (epsilon >= 1); quantitative "
             "conclusions carry no information at this band radius"
         )
-    cp = SchurCPMap(cert)
     gram_kernel = vector_to_kernel(cert)
-    extracted = kernel_from_cp_map(cp)
+    extracted = kernel_from_cp_map(cert)
     matches = bool(np.array_equal(extracted.table, gram_kernel.table))
     report = kernel_checks(extracted)
     deviation = kernel_deviation(extracted, band_radius)

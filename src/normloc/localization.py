@@ -12,9 +12,9 @@ by the operator norm:
 For any operator of propagation R these obey
 ``sigma_sq(S) <= sigma_col(S) <= sigma_sq(S + R)``, which the report
 records.  The power trick upgrades a localized vector for a power of a* a
-into a localized vector for a itself with a guaranteed norm ratio; geometric
-reductions (fiberwise compression of amplified operators, weighted-space
-flattening) round out the toolbox.
+into a localized vector for a itself with a guaranteed norm ratio, and the
+fiberwise compression of an amplified operator to one slot rounds out the
+toolbox.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .space import (
     FiniteMetricSpace,
     _integer,
     ball_index,
+    largest_distance,
     size_groups,
 )
 
@@ -64,10 +65,7 @@ def vector_point_support(vec: np.ndarray, m: int) -> np.ndarray:
 
 def support_diameter(space: FiniteMetricSpace, points) -> float | int:
     points = np.asarray(points, dtype=np.int64)
-    if points.size <= 1:
-        return 0
-    val = space.dist[np.ix_(points, points)].max()
-    return float(val) if space.dist.dtype.kind == "f" else int(val)
+    return largest_distance(space, np.ix_(points, points))
 
 
 def _ball_table(index: BallIndex, centers: np.ndarray, m: int) -> np.ndarray:
@@ -584,7 +582,7 @@ def vector_amplification_reduction(a: BandedOperator) -> ReductionResult:
     data = np.einsum(
         "yi,yizj,zj->yz", w_fibers.conj(), blocks, v_fibers, optimize=True
     )
-    compressed = BandedOperator(a.space, 1, data, a.support)
+    compressed = BandedOperator(a.space, 1, data)
     compressed_norm = operator_norm(compressed)
     return ReductionResult(
         v_fibers=v_fibers,
@@ -675,13 +673,12 @@ def _refine_ratio(
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
     norms = start_norms
-    mask = space.dist <= band_radius
     within = space.dist[index.maximal] <= loc_radius
 
     def ratio_of(d: np.ndarray, hit: np.ndarray, bar: float) -> tuple:
         """(ratio, maximal-ball norms) of a trial, or (inf, None) when its
         ratio cannot fall below ``bar``."""
-        op = BandedOperator(space, 1, d, mask)
+        op = BandedOperator(space, 1, d)
         norm_a = operator_norm(op)
         # Division by a positive float is monotone, so the ratio is at
         # least the kept blocks' largest norm over norm_a.

@@ -1,16 +1,16 @@
 """Banded operators on a finite metric space.
 
 An operator acts on vectors indexed by (point, slot) with ``m`` slots per
-point, stored as a dense complex matrix in point-major order together with a
-boolean point-level support mask.  The mask is structural: entries outside it
-are exactly zero, entries inside it may happen to vanish.  Propagation (the
-largest distance carrying a numerically nonzero entry) is always measured
-from the data, never from the mask, so cancellations are reported honestly.
+point, stored as a dense complex matrix in point-major order.  Its support
+(which point pairs carry a nonzero block) and its propagation (the largest
+distance carrying one) are read from that matrix, so an entry that cancels
+leaves both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .space import (
     FiniteMetricSpace,
     _integer,
     check_point,
+    largest_distance,
 )
 
 # Dense spectral norms are cheap up to this matrix side; beyond it the
@@ -44,20 +45,17 @@ def same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
-    """Dense matrix plus structural support over a finite metric space.
+    """Dense matrix over a finite metric space.
 
     ``data`` has shape ``(n*m, n*m)``; the block coupling points ``y`` and
-    ``z`` is ``data[y*m:(y+1)*m, z*m:(z+1)*m]``.  ``support`` has shape
-    ``(n, n)``; the constructor verifies that every block outside it is
-    exactly zero.  Pass ``support=None`` to derive the mask from the nonzero
-    pattern of the data.  A non-integer ``m`` raises :class:`FormatError`
-    and a NaN or infinite entry raises :class:`DataError`.
+    ``z`` is ``data[y*m:(y+1)*m, z*m:(z+1)*m]``.  A non-integer ``m``
+    raises :class:`FormatError` and a NaN or infinite entry raises
+    :class:`DataError`.
     """
 
     space: FiniteMetricSpace
     m: int
     data: np.ndarray
-    support: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.space.n
@@ -71,24 +69,17 @@ class BandedOperator:
             )
         if not np.isfinite(data).all():
             raise DataError("operator data has NaN or infinite entries")
-        blocks_nonzero = (
-            (data != 0).reshape(n, m, n, m).any(axis=(1, 3))
-        )
-        if self.support is None:
-            support = blocks_nonzero
-        else:
-            support = np.array(self.support, dtype=bool)
-            if support.shape != (n, n):
-                raise FormatError(
-                    f"support shape {support.shape} does not match n = {n}"
-                )
-            if (blocks_nonzero & ~support).any():
-                raise DataError("nonzero entry outside the declared support")
         data.setflags(write=False)
-        support.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "support", support)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Read-only (n, n) table of the point pairs with a nonzero block."""
+        n, m = self.n, self.m
+        support = (self.data != 0).reshape(n, m, n, m).any(axis=(1, 3))
+        support.setflags(write=False)
+        return support
 
     @property
     def n(self) -> int:
@@ -119,21 +110,14 @@ class BandedOperator:
         return self.data.copy()
 
     def adjoint(self) -> "BandedOperator":
-        return BandedOperator(
-            self.space, self.m, self.data.conj().T, self.support.T
-        )
+        return BandedOperator(self.space, self.m, self.data.conj().T)
 
     def _binary(self, other: "BandedOperator", op) -> "BandedOperator":
         if not isinstance(other, BandedOperator):
             return NotImplemented
         if not same_space(self.space, other.space) or self.m != other.m:
             raise DataError("operators live on different spaces")
-        return BandedOperator(
-            self.space,
-            self.m,
-            op(self.data, other.data),
-            self.support | other.support,
-        )
+        return BandedOperator(self.space, self.m, op(self.data, other.data))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -142,14 +126,12 @@ class BandedOperator:
         return self._binary(other, np.subtract)
 
     def __neg__(self):
-        return BandedOperator(self.space, self.m, -self.data, self.support)
+        return BandedOperator(self.space, self.m, -self.data)
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return BandedOperator(
-            self.space, self.m, self.data * complex(scalar), self.support
-        )
+        return BandedOperator(self.space, self.m, self.data * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -158,12 +140,7 @@ class BandedOperator:
             return NotImplemented
         if not same_space(self.space, other.space) or self.m != other.m:
             raise DataError("operators live on different spaces")
-        # Boolean matrix product: (y, z) may be hit iff some w links them.
-        # A float product runs through BLAS and counts exactly at these sizes.
-        support = (
-            self.support.astype(np.float64) @ other.support.astype(np.float64)
-        ) > 0
-        return BandedOperator(self.space, self.m, self.data @ other.data, support)
+        return BandedOperator(self.space, self.m, self.data @ other.data)
 
     def __repr__(self) -> str:
         return (
@@ -172,14 +149,12 @@ class BandedOperator:
 
 
 def identity(space: FiniteMetricSpace) -> BandedOperator:
-    n = space.n
-    return BandedOperator(space, 1, np.eye(n), np.eye(n, dtype=bool))
+    return BandedOperator(space, 1, np.eye(space.n))
 
 
 def adjacency(space: FiniteMetricSpace) -> BandedOperator:
     """0/1 operator with a one wherever two points are at distance one."""
-    mask = space.dist == 1
-    return BandedOperator(space, 1, mask.astype(np.complex128), mask)
+    return BandedOperator(space, 1, (space.dist == 1).astype(np.complex128))
 
 
 def random_banded(
@@ -199,8 +174,7 @@ def random_banded(
     if field not in ("complex", "real"):
         raise InvalidParams(f"field must be 'complex' or 'real', got {field!r}")
     n = space.n
-    mask = space.dist <= radius
-    ys, zs = np.nonzero(mask)
+    ys, zs = np.nonzero(space.dist <= radius)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((ys.size, m, m))
     if field == "complex":
@@ -208,17 +182,12 @@ def random_banded(
     data = np.zeros((n * m, n * m), dtype=np.complex128)
     # Axes (y, slot, z, slot): each band position's block in one assignment.
     data.reshape(n, m, n, m)[ys, :, zs, :] = vals
-    return BandedOperator(space, m, data, mask)
+    return BandedOperator(space, m, data)
 
 
 def propagation(a: BandedOperator):
-    """Largest distance carrying a numerically nonzero block (0 if none)."""
-    n, m = a.n, a.m
-    nonzero = (a.data != 0).reshape(n, m, n, m).any(axis=(1, 3))
-    if not nonzero.any():
-        return 0
-    val = a.space.dist[nonzero].max()
-    return float(val) if a.space.dist.dtype.kind == "f" else int(val)
+    """Largest distance carrying a nonzero block (0 if none)."""
+    return largest_distance(a.space, a.support)
 
 
 def _scale_by_powers_of_two(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

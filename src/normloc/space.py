@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     DisconnectedGraph,
     FormatError,
     InvalidParams,
@@ -33,17 +34,21 @@ EXACT_VALIDATION_LIMIT = 512
 VALIDATION_SAMPLE_TRIPLES = 200_000
 # Violations reported before the rest are suppressed.
 VALIDATION_MAX_MESSAGES = 20
+# Most entries a document reader may allocate for one table; a larger
+# declared size raises DataError before any allocation.
+MAX_TABLE_ENTRIES = 2**26
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite metric space: labelled points and a distance table.
 
-    The constructor enforces shape consistency and finite distances
-    (:class:`FormatError`), so syntactically valid but metrically broken
-    tables can be built and then fed to :func:`validate_metric`.  The distance table is copied and frozen.  The
-    space keeps the ball indexes built on it, one per radius (see
-    :func:`ball_index`).
+    The constructor enforces shape consistency, finite distances and
+    integer distances below 2**62 in size (:class:`FormatError`), so
+    syntactically valid but metrically broken tables can be built and then
+    fed to :func:`validate_metric`.  The distance table is copied and
+    frozen.  The space keeps the ball indexes
+    built on it, one per radius (see :func:`ball_index`).
     """
 
     labels: tuple[str, ...]
@@ -62,6 +67,10 @@ class FiniteMetricSpace:
             raise FormatError("distances must be numeric")
         # Integer tables stay integers so graph metrics compare exactly.
         if table.dtype.kind in "iu":
+            # Then the sum of two distances fits in int64.
+            low, high = (table.min(), table.max()) if table.size else (0, 0)
+            if not -(2**62) < low <= high < 2**62:
+                raise FormatError("integer distances must be below 2**62")
             table = table.astype(np.int64)
         else:
             table = table.astype(np.float64)
@@ -89,13 +98,14 @@ class GeometryProfile:
     max_ball: int
     diameter: float
 
-    def to_json(self) -> dict:
-        return {
-            "radius": self.radius,
-            "ball_sizes": list(self.ball_sizes),
-            "max_ball": self.max_ball,
-            "diameter": self.diameter,
-        }
+
+def largest_distance(space: FiniteMetricSpace, pairs) -> int | float:
+    """Largest of the distances ``space.dist[pairs]``, 0 if there are none.
+
+    An int on integer tables and a float on float tables.
+    """
+    chosen = space.dist[pairs]
+    return chosen.max().item() if chosen.size else 0
 
 
 def check_point(space: FiniteMetricSpace, x: int) -> int:
@@ -180,12 +190,11 @@ def geometry_profile(space: FiniteMetricSpace, radius: float) -> GeometryProfile
     if radius < 0:
         raise InvalidParams(f"radius must be nonnegative, got {radius}")
     sizes = (space.dist <= radius).sum(axis=1)
-    diam = space.dist.max() if space.n else 0
     return GeometryProfile(
         radius=radius,
         ball_sizes=tuple(int(s) for s in sizes),
         max_ball=int(sizes.max()) if space.n else 0,
-        diameter=float(diam) if space.dist.dtype.kind == "f" else int(diam),
+        diameter=largest_distance(space, ...),
     )
 
 
@@ -238,11 +247,14 @@ def from_graph(
 
     Edges are pairs of integer vertex indices in ``range(n)``.  Self loops
     are rejected, duplicate edges are merged.  Raises
-    :class:`DisconnectedGraph` when some pair of vertices is unreachable.
+    :class:`DisconnectedGraph` when some pair of vertices is unreachable
+    and :class:`DataError` when n * n exceeds ``MAX_TABLE_ENTRIES``.
     """
     n = _integer(n, "the vertex count")
     if n < 1:
         raise InvalidParams(f"graph needs at least one vertex, got n={n}")
+    if n * n > MAX_TABLE_ENTRIES:
+        raise DataError(f"{n * n} distances exceed {MAX_TABLE_ENTRIES}")
     pairs = []
     for e in edges:
         u, v = (_integer(p, "an edge endpoint") for p in e)
@@ -402,8 +414,9 @@ def validate_metric(space: FiniteMetricSpace, seed: int = 0) -> list[str]:
     are always checked exactly.  The triangle inequality is checked exactly
     up to ``EXACT_VALIDATION_LIMIT`` points and by seeded sampling of triples
     beyond that (``VALIDATION_SAMPLE_TRIPLES`` triples).  At most
-    ``VALIDATION_MAX_MESSAGES`` violations are listed.  Message prefixes (``diagonal:``, ``positivity:``,
-    ``symmetry:``, ``triangle:``) are stable.
+    ``VALIDATION_MAX_MESSAGES`` violations are listed.  Message prefixes
+    (``diagonal:``, ``positivity:``, ``symmetry:``, ``triangle:``) are
+    stable.
     """
     d = space.dist
     n = space.n

@@ -94,28 +94,47 @@ def literal_random_banded(space, radius, seed, m=1, field="complex"):
     return data
 
 
-def literal_kernel_from_cp_map(cp) -> np.ndarray:
-    """Kernel table of a multiplier, one matrix unit at a time (O(n^4)).
+def literal_kernel_from_cp_map(certificate) -> np.ndarray:
+    """Kernel table of a certificate's multiplier, one matrix unit at a
+    time (O(n^4)).
 
-    Runs every e_yz through compression at the map's radius and through
-    the multiplier, and reads the (y, z) entry of the image back.
+    Runs every e_yz through compression at the certificate radius and
+    through the multiplier, and reads the (y, z) entry of the image back.
     """
-    space = cp.space
+    space = certificate.space
     n = space.n
     table = np.zeros((n, n), dtype=np.complex128)
     for y in range(n):
         for z in range(n):
             unit = matrix_unit(space, y, z)
-            image = nl.phi_apply(cp, nl.compress(unit, cp.radius))
-            table[y, z] = image.entry(y, z)
+            compressed = nl.compress(unit, certificate.radius)
+            table[y, z] = nl.phi_apply(certificate, compressed).entry(y, z)
     return table
+
+
+def ball_overlap(space, radius: float) -> np.ndarray:
+    """(n, n) table of the pairs whose closed balls share a point, by set
+    intersection."""
+    balls = [
+        set(np.flatnonzero(space.dist[x] <= radius).tolist())
+        for x in range(space.n)
+    ]
+    return np.array([[bool(b & c) for c in balls] for b in balls])
+
+
+def block_support(a) -> np.ndarray:
+    """(n, n) table of the point pairs whose block holds a nonzero entry,
+    one block at a time."""
+    return np.array([
+        [bool(a.block(y, z).any()) for z in range(a.n)] for y in range(a.n)
+    ])
 
 
 def literal_schur_multiply(a, table):
     """Entrywise product of an operator with a point-level table.
 
     Each (m, m) block of ``a`` is scaled by its table entry, one block at a
-    time; the support keeps the pairs where the table is nonzero.
+    time.
     """
     table = np.asarray(table, dtype=np.complex128)
     m = a.m
@@ -124,7 +143,7 @@ def literal_schur_multiply(a, table):
         for z in range(a.n):
             rows, cols = slice(y * m, (y + 1) * m), slice(z * m, (z + 1) * m)
             data[rows, cols] = table[y, z] * a.data[rows, cols]
-    return nl.BandedOperator(a.space, m, data, a.support & (table != 0))
+    return nl.BandedOperator(a.space, m, data)
 
 
 def literal_refine_ratio(
@@ -138,10 +157,9 @@ def literal_refine_ratio(
     """
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
-    mask = space.dist <= band_radius
 
     def ratio_of(d):
-        op = nl.BandedOperator(space, 1, d, mask)
+        op = nl.BandedOperator(space, 1, d)
         norm_a = nl.operator_norm(op)
         if norm_a == 0.0:
             return np.inf

@@ -17,6 +17,7 @@ import numpy as np
 
 import normloc as nl
 from helpers import (
+    ball_overlap,
     dense_norm,
     edges_of,
     floyd_warshall,
@@ -221,13 +222,12 @@ def test_criterion_07_certificate_gives_one_seventh_bound(c60):
         and bound.epsilon_exact == Fraction(1, 7)
         and bound.epsilon == float(Fraction(1, 7))
     )
-    cp = nl.SchurCPMap(cert)
     eps = bound.epsilon
     violations = 0
     for k in range(500):
         a = nl.random_banded(c60, 1, seed=k)
         norm_a = nl.operator_norm(a)
-        moved = nl.phi_apply(cp, nl.compress(a, 10))
+        moved = nl.phi_apply(cert, nl.compress(a, 10))
         multiplier_ok = (
             dense_norm(moved.to_dense() - a.to_dense()) <= eps * norm_a + 1e-9
         )
@@ -256,8 +256,8 @@ def test_criterion_08_extracted_kernels(c60, btree6):
     )
     problems = []
     for label, sp, cert in cases:
-        cp = nl.SchurCPMap(cert)
-        kernel = nl.kernel_from_cp_map(cp)
+        overlap = ball_overlap(sp, cert.radius)
+        kernel = nl.kernel_from_cp_map(cert)
         table = kernel.table
         if not (table.diagonal() == 1.0).all():
             problems.append(f"{label}: diagonal not exactly 1")
@@ -266,7 +266,7 @@ def test_criterion_08_extracted_kernels(c60, btree6):
         report = nl.kernel_checks(kernel)
         if report["min_eigenvalue"] < -1e-8 * sp.n:
             problems.append(f"{label}: min eigenvalue {report['min_eigenvalue']}")
-        if table[~cp.overlap].any():
+        if table[~overlap].any():
             problems.append(f"{label}: nonzero where compression vanishes")
         # spot-confirm the vanishing set against literal compressions
         rng = np.random.default_rng(0)
@@ -275,15 +275,14 @@ def test_criterion_08_extracted_kernels(c60, btree6):
             unit_zero = nl.compress(
                 matrix_unit(sp, int(y), int(z)), cert.radius
             ).is_zero()
-            if unit_zero != (not cp.overlap[y, z]):
+            if unit_zero != (not overlap[y, z]):
                 problems.append(f"{label}: overlap mask wrong at {(y, z)}")
         deficit = nl.a_implies_onl_bound(cert, 1).gram_deficit
         if nl.kernel_deviation(kernel, 1) != deficit:
             problems.append(f"{label}: band deviation != Gram deficit")
     # the closed-form kernel against the literal matrix-unit route
-    cp = nl.SchurCPMap(cases[0][2])
-    oracle = literal_kernel_from_cp_map(cp)
-    if nl.kernel_from_cp_map(cp).table.tobytes() != oracle.tobytes():
+    oracle = literal_kernel_from_cp_map(cases[0][2])
+    if nl.kernel_from_cp_map(cases[0][2]).table.tobytes() != oracle.tobytes():
         problems.append("60-cycle ball S=10: kernel differs from literal route")
     ok = not problems
     assert _verdict(

@@ -66,3 +66,22 @@ def _reached() -> set:
 
 def test_every_export_is_reached():
     assert sorted(_exports() - _reached()) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ is skipped: its imports are the exports checked above.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            future = getattr(node, "module", None) == "__future__"
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
+                unused += [
+                    f"{path.name}: {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in used
+                ]
+    assert unused == []

@@ -96,24 +96,36 @@ def test_vector_certificate_validation(c6):
     vecs = np.zeros((6, 6, 1), dtype=complex)
     for x in range(6):
         vecs[x, x, 0] = 1.0
-    ok = nl.VectorCertificate(c6, 0, 1, vecs)
+    ok = nl.VectorCertificate(c6, 0, vecs)
     assert ok.gram()[0, 1] == 0.0
 
     off = vecs.copy()
     off[0, 3, 0] = 0.5
     with pytest.raises(nl.DataError):
-        nl.VectorCertificate(c6, 0, 1, off)
+        nl.VectorCertificate(c6, 0, off)
 
     unnorm = vecs.copy()
     unnorm[0, 0, 0] = 0.9
     with pytest.raises(nl.DataError):
-        nl.VectorCertificate(c6, 0, 1, unnorm)
+        nl.VectorCertificate(c6, 0, unnorm)
 
     for bad in (np.nan, np.inf, complex(0, np.nan)):
         broken = vecs.copy()
         broken[0, 0, 0] = bad
         with pytest.raises(nl.DataError):
-            nl.VectorCertificate(c6, 0, 1, broken)
+            nl.VectorCertificate(c6, 0, broken)
+
+
+def test_vector_certificate_slot_count_is_the_table_depth(c6):
+    for m in (1, 3):
+        vecs = np.zeros((6, 6, m), dtype=complex)
+        vecs[np.arange(6), np.arange(6), m - 1] = 1.0
+        cert = nl.VectorCertificate(c6, 0, vecs)
+        assert cert.m == m
+        assert nl.certificate_to_json(cert)["m"] == m
+    for shape in ((6, 6), (6, 6, 0), (5, 5, 1), (6, 5, 1), (6, 6, 1, 1)):
+        with pytest.raises(nl.FormatError):
+            nl.VectorCertificate(c6, 0, np.zeros(shape, dtype=complex))
 
 
 def test_gram_is_computed_once_and_read_only(c60, p4):
@@ -295,16 +307,16 @@ def test_subset_round_trip_recovers_exactness(c6):
 
 def test_exact_gram_must_match_the_vectors(c6):
     vec = nl.subset_to_vector(nl.ball_certificate(c6, 1))
-    same = nl.VectorCertificate(c6, 1, 1, vec.vectors, exact_gram=vec.exact_gram)
+    same = nl.VectorCertificate(c6, 1, vec.vectors, exact_gram=vec.exact_gram)
     assert np.array_equal(same.gram(), vec.gram())
     # an all-ones table would certify epsilon = 0 where the truth is 1
     forged = (np.ones((6, 6), dtype=np.int64), 1)
     with pytest.raises(nl.DataError):
-        nl.VectorCertificate(c6, 1, 1, vec.vectors, exact_gram=forged)
+        nl.VectorCertificate(c6, 1, vec.vectors, exact_gram=forged)
     for bad in ((vec.exact_gram[0] / 3, 1), (vec.exact_gram[0][:5], 3),
                 (vec.exact_gram[0], 0)):
         with pytest.raises(nl.FormatError):
-            nl.VectorCertificate(c6, 1, 1, vec.vectors, exact_gram=bad)
+            nl.VectorCertificate(c6, 1, vec.vectors, exact_gram=bad)
 
 
 @pytest.mark.parametrize(
@@ -331,10 +343,8 @@ def test_library_callers_need_integers(c6, call):
 
 # Documents are mostly well formed, with any field possibly replaced by a
 # JSON value of another kind, so that the fuzz reaches every check of the
-# readers.  Integers stay small: the readers allocate tables of the sizes a
-# document declares (n x n hop counts, n x n x m members) before any size
-# check, so a huge count exhausts memory instead of raising DataError (an
-# open fault).
+# readers.  Counts are small or far beyond MAX_TABLE_ENTRIES, which the
+# readers must refuse before they allocate.
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=2)
     | st.floats(allow_nan=True, allow_infinity=True),
@@ -366,8 +376,9 @@ _DIST_DOCS = st.fixed_dictionaries(
     optional={"labels": _mostly(st.lists(st.text(max_size=2), max_size=4)),
               "name": _JUNK},
 )
+_HUGE = st.sampled_from([2**40, 10**15])
 _GRAPH_DOCS = st.fixed_dictionaries(
-    {"n": _mostly(st.integers(-1, 4)), "edges": _rows(_INDEX, _INDEX)},
+    {"n": _mostly(st.integers(-1, 4) | _HUGE), "edges": _rows(_INDEX, _INDEX)},
     optional={"name": _JUNK},
 )
 _SPACE_DOCS = _mostly(_DIST_DOCS | _GRAPH_DOCS)
@@ -387,7 +398,7 @@ _CERT_DOCS = st.fixed_dictionaries(
         "entries": _rows(_INDEX, _INDEX, _INDEX, _NUMBER, _NUMBER)
         | _rows(_INDEX, _INDEX, _NUMBER, _NUMBER),
     },
-    optional={"m": _mostly(st.integers(-1, 2)), "note": _JUNK},
+    optional={"m": _mostly(st.integers(-1, 2) | _HUGE), "note": _JUNK},
 )
 
 

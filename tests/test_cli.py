@@ -116,6 +116,40 @@ def test_space_validate_malformed_graph_document_exit_3(
     assert message in captured.err
 
 
+_PAIR = {"labels": ["0", "1"], "dist": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "space validate", {"n": 10_000_000, "edges": []},
+            "exceed 67108864",
+        ),
+        (
+            "space validate", {"dist": [[0, 2**62], [2**62, 0]]},
+            "integer distances must be below 2**62",
+        ),
+        (
+            "cert check",
+            {"form": "subset", "radius": 1, "m": 10**15,
+             "subsets": [[[0, 1]], [[1, 1]]], "space": _PAIR},
+            "exceed 67108864",
+        ),
+    ],
+    ids=["huge-vertex-count", "huge-distance", "huge-slot-count"],
+)
+def test_oversized_documents_exit_3_before_allocating(
+    tmp_path, capsys, command, doc, message
+):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command.split(), "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_outputs_honour_umask(tmp_path):
     old = os.umask(0o022)
     try:

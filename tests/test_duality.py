@@ -6,24 +6,24 @@ import pytest
 
 import normloc as nl
 from helpers import (
+    ball_overlap,
     dense_norm,
     literal_kernel_from_cp_map,
     literal_schur_multiply,
 )
 
 
-def _ball_cp(space, radius):
-    cert = nl.subset_to_vector(nl.ball_certificate(space, radius))
-    return cert, nl.SchurCPMap(cert)
+def _ball_cert(space, radius):
+    return nl.subset_to_vector(nl.ball_certificate(space, radius))
 
 
 def test_phi_agrees_with_schur_multiplication(c60):
     # two independent routes to the same operator: blockwise weighting of
     # the compression vs a direct entrywise product with the Gram table
-    cert, cp = _ball_cp(c60, 5)
+    cert = _ball_cert(c60, 5)
     a = nl.random_banded(c60, 1, seed=4)
     comp = nl.compress(a, 5)
-    routed = nl.phi_apply(cp, comp)
+    routed = nl.phi_apply(cert, comp)
     direct = literal_schur_multiply(a, cert.gram())
     assert np.array_equal(routed.to_dense(), direct.to_dense())
     # and compressing the output recovers the Gram-weighted blocks
@@ -35,23 +35,23 @@ def test_phi_agrees_with_schur_multiplication(c60):
 
 
 def test_phi_fixes_identity_exactly(c60):
-    _, cp = _ball_cp(c60, 5)
+    cert = _ball_cert(c60, 5)
     one = nl.compress(nl.identity(c60), 5)
-    out = nl.phi_apply(cp, one)
+    out = nl.phi_apply(cert, one)
     assert np.array_equal(out.to_dense(), nl.identity(c60).to_dense())
 
 
 def test_phi_radius_mismatch(c60):
-    _, cp = _ball_cp(c60, 5)
+    cert = _ball_cert(c60, 5)
     comp = nl.compress(nl.adjacency(c60), 4)
     with pytest.raises(nl.RadiusMismatch):
-        nl.phi_apply(cp, comp)
+        nl.phi_apply(cert, comp)
 
 
 def test_phi_multislot(c6):
-    cert, cp = _ball_cp(c6, 2)
+    cert = _ball_cert(c6, 2)
     a = nl.random_banded(c6, 1, seed=11, m=2)
-    routed = nl.phi_apply(cp, nl.compress(a, 2))
+    routed = nl.phi_apply(cert, nl.compress(a, 2))
     direct = literal_schur_multiply(a, cert.gram())
     assert routed.m == 2
     assert np.array_equal(routed.to_dense(), direct.to_dense())
@@ -91,14 +91,13 @@ def test_onl_bound_exact_epsilon(c60):
 
 def test_onl_bound_inequalities_by_hand(c60):
     # spell out both certified conclusions on fresh operators
-    cert = nl.subset_to_vector(nl.ball_certificate(c60, 10))
-    cp = nl.SchurCPMap(cert)
+    cert = _ball_cert(c60, 10)
     bound = nl.a_implies_onl_bound(cert, 1)
     eps = bound.epsilon
     for seed in (101, 202):
         a = nl.random_banded(c60, 1, seed=seed)
         norm_a = nl.operator_norm(a)
-        moved = nl.phi_apply(cp, nl.compress(a, 10))
+        moved = nl.phi_apply(cert, nl.compress(a, 10))
         moved_norm = nl.operator_norm(moved)
         diff = dense_norm(moved.to_dense() - a.to_dense())
         assert diff <= eps * norm_a + 1e-9
@@ -116,10 +115,10 @@ def test_onl_bound_spot_constant(c60):
 
 
 def test_kernel_extraction_matches_gram(c60):
-    cert, cp = _ball_cp(c60, 10)
-    kernel = nl.kernel_from_cp_map(cp)
+    cert = _ball_cert(c60, 10)
+    kernel = nl.kernel_from_cp_map(cert)
     gram = cert.gram()
-    overlap = cp.overlap
+    overlap = ball_overlap(c60, 10)
     assert np.array_equal(kernel.table[overlap], gram[overlap])
     assert not kernel.table[~overlap].any()
     assert kernel.radius == 20
@@ -137,13 +136,12 @@ def _float_certificate(space, radius, seed, m=2):
     vec = rng.standard_normal((n, n, m)) + 1j * rng.standard_normal((n, n, m))
     vec[space.dist > radius] = 0
     vec /= np.linalg.norm(vec.reshape(n, -1), axis=1)[:, None, None]
-    return nl.VectorCertificate(space=space, radius=radius, m=m, vectors=vec)
+    return nl.VectorCertificate(space=space, radius=radius, vectors=vec)
 
 
 def _assert_kernel_matches_literal_route(cert):
-    cp = nl.SchurCPMap(cert)
-    kernel = nl.kernel_from_cp_map(cp)
-    oracle = literal_kernel_from_cp_map(cp)
+    kernel = nl.kernel_from_cp_map(cert)
+    oracle = literal_kernel_from_cp_map(cert)
     # byte equality also pins the sign of every zero
     assert kernel.table.tobytes() == oracle.tobytes()
 
@@ -173,27 +171,10 @@ def test_kernel_closed_form_matches_literal_route_float_gram(kind, params, radiu
     _assert_kernel_matches_literal_route(cert)
 
 
-def test_kernel_extraction_fails_closed(c6):
-    _, cp = _ball_cp(c6, 2)
-    cp.radius = 1
-    with pytest.raises(nl.RadiusMismatch):
-        nl.kernel_from_cp_map(cp)
-    cp.radius = -1
-    with pytest.raises(nl.InvalidParams):
-        nl.kernel_from_cp_map(cp)
-    # a Gram weight between points the mask says share no ball
-    _, cp = _ball_cp(c6, 2)
-    cp.overlap = np.eye(6, dtype=bool)
-    with pytest.raises(nl.DataError):
-        nl.kernel_from_cp_map(cp)
-    with pytest.raises(nl.DataError):
-        literal_kernel_from_cp_map(cp)
-
-
 def test_kernel_deviation_matches_bound_deficit(c60):
-    cert, cp = _ball_cp(c60, 10)
+    cert = _ball_cert(c60, 10)
     bound = nl.a_implies_onl_bound(cert, 1)
-    kernel = nl.kernel_from_cp_map(cp)
+    kernel = nl.kernel_from_cp_map(cert)
     # same float pipeline on both sides, so equality is exact
     assert nl.kernel_deviation(kernel, 1) == bound.gram_deficit
 

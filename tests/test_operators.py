@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normloc as nl
-from helpers import dense_norm, literal_random_banded, matrix_unit
+from helpers import (
+    block_support,
+    dense_norm,
+    literal_random_banded,
+    matrix_unit,
+)
 
 
 def test_adjacency_structure(c6):
@@ -38,8 +43,9 @@ def test_arithmetic_and_supports(c6):
     assert np.array_equal(s.to_dense(), a.to_dense() + e.to_dense())
     d = s - e
     assert np.array_equal(d.to_dense(), a.to_dense())
-    # structural support keeps the slot even though the data cancelled
-    assert d.support[0, 3]
+    # the support is read from the data, so a cancelled slot leaves it
+    assert not d.support[0, 3]
+    assert np.array_equal(d.support, a.support)
     assert nl.propagation(d) == 1
     neg = -a
     assert neg.entry(1, 0) == -1
@@ -47,7 +53,7 @@ def test_arithmetic_and_supports(c6):
     assert scaled.entry(0, 1) == 2.5
 
 
-def test_matmul_support_is_boolean_product(c6):
+def test_matmul_support_is_nonzero_pattern(c6):
     a = nl.adjacency(c6)
     sq = a @ a
     assert np.array_equal(sq.to_dense(), a.to_dense() @ a.to_dense())
@@ -71,13 +77,29 @@ def test_operator_mismatch_rejected(c6, p4):
         nl.adjacency(c6) @ nl.random_banded(c6, 1, seed=0, m=2)
 
 
-def test_constructor_rejects_entry_outside_support(c6):
-    data = np.zeros((6, 6), dtype=complex)
-    data[0, 3] = 1.0
-    support = np.zeros((6, 6), dtype=bool)
-    support[0, 1] = True
-    with pytest.raises(nl.DataError):
-        nl.BandedOperator(c6, 1, data, support)
+@pytest.mark.parametrize("m", [1, 2])
+def test_support_is_the_nonzero_block_pattern(c6, m):
+    a = nl.random_banded(c6, 1, seed=m, m=m)
+    data =np.zeros((6 * m, 6 * m), dtype=complex)
+    data[m - 1, 3 * m] = 1.0
+    e = nl.BandedOperator(c6, m, data)
+    for op in (a, e, a + e, (a + e) - e, a @ a, a.adjoint(), -a, a * 0):
+        assert np.array_equal(op.support, block_support(op))
+        assert nl.propagation(op) == nl.space.largest_distance(
+            c6, block_support(op)
+        )
+    assert (a + e).support[0, 3] and not ((a + e) - e).support[0, 3]
+    assert not (a * 0).support.any() and nl.propagation(a * 0) == 0
+
+
+def test_support_is_read_only_and_computed_once(c6):
+    a = nl.random_banded(c6, 1, seed=0)
+    support = a.support
+    assert a.support is support
+    with pytest.raises(ValueError):
+        support[0, 3] = True
+    with pytest.raises(AttributeError):
+        a.support = np.ones((6, 6), dtype=bool)
 
 
 def test_constructor_rejects_bad_shapes(c6):
@@ -268,8 +290,6 @@ def test_non_finite_entries_raise_data_error(c6, bad):
     # refused at construction, so no norm, compression or search sees it
     with pytest.raises(nl.DataError):
         nl.BandedOperator(c6, 1, data)
-    with pytest.raises(nl.DataError):
-        nl.BandedOperator(c6, 1, data, nl.adjacency(c6).support)
 
 
 @pytest.mark.parametrize(

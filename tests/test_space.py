@@ -191,6 +191,41 @@ def test_geometry_profile(c6, grid3, p4):
     assert nl.geometry_profile(p4, 1).max_ball == 3
 
 
+def test_largest_distance(c6):
+    largest = nl.space.largest_distance
+    far = c6.dist == 3
+    assert largest(c6, far) == 3 and type(largest(c6, far)) is int
+    assert largest(c6, np.ix_([0, 1], [0, 1])) == 1
+    assert largest(c6, ...) == 3
+    halved = nl.FiniteMetricSpace(c6.labels, c6.dist / 2)
+    assert largest(halved, far) == 1.5 and type(largest(halved, far)) is float
+    for sp in (c6, halved):
+        none = np.zeros((6, 6), dtype=bool)
+        assert largest(sp, none) == 0 and type(largest(sp, none)) is int
+        assert largest(sp, np.ix_([], [])) == 0
+
+
+def test_integer_distances_leave_room_for_a_sum():
+    # d(y, k) + d(k, z) of two admitted distances fits in int64
+    limit = 2**62
+    assert 2 * (limit - 1) <= np.iinfo(np.int64).max
+    for big in (limit, -limit, 2**63 - 1, -(2**63)):
+        with pytest.raises(nl.FormatError, match="2\\*\\*62"):
+            nl.FiniteMetricSpace(("a", "b"), np.array([[0, big], [big, 0]]))
+    with pytest.raises(nl.FormatError):
+        nl.FiniteMetricSpace(
+            ("a", "b"), np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64)
+        )
+    ok = nl.FiniteMetricSpace(("a", "b"), [[0, limit - 1], [limit - 1, 0]])
+    assert nl.validate_metric(ok) == []
+
+
+def test_from_graph_refuses_a_table_past_the_entry_bound():
+    n = int(np.sqrt(nl.space.MAX_TABLE_ENTRIES)) + 1
+    with pytest.raises(nl.DataError, match="exceed"):
+        nl.from_graph(n, [])
+
+
 def test_validate_metric_passes_on_families(c6, grid3, btree6):
     for sp in (c6, grid3, btree6):
         assert nl.validate_metric(sp) == []
