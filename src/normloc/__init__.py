@@ -13,7 +13,6 @@ from .certificates import (
     ball_certificate,
     certificate_from_json,
     certificate_to_json,
-    check_positive_definite,
     kernel_checks,
     kernel_deviation,
     subset_to_vector,
@@ -42,7 +41,6 @@ from .errors import (
     InvalidRadii,
     NormlocError,
     NotATree,
-    NotHermitian,
     RadiusMismatch,
     UnknownPoint,
     VerificationError,

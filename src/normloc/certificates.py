@@ -7,10 +7,11 @@ the ball, and positive-definite kernels of finite propagation.  Subset
 certificates convert to vector ones (normalized indicators), vector ones to
 kernels (their Gram matrix).
 
-When every subset has the same size the Gram matrix consists of rationals
-``|overlap| / size`` and is kept exactly, as the integer overlap counts and
-the common size, alongside the float view; downstream bounds that the
-experiments pin to exact rational values are computed from those counts.
+When the vectors are normalized indicators of sets of one size, as for
+equal-size subsets, the Gram matrix consists of rationals
+``|overlap| / size``; the certificate derives it exactly, as the integer
+overlap counts and the common size, and the bounds that the experiments
+pin to exact rational values are computed from those counts.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     InvalidParams,
     InvalidRadii,
     NotATree,
-    NotHermitian,
     UnknownPoint,
     VerificationError,
 )
@@ -45,8 +45,6 @@ from .space import (
 
 # A claimed unit vector may miss 1 by at most this much in squared norm.
 UNIT_NORM_TOL = 1e-12
-# Hermiticity slack accepted before a kernel is rejected outright.
-HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,16 +101,11 @@ class VectorCertificate:
     ``vectors[x, v, i]`` is the coefficient of point v, slot i, in a table
     of shape (n, n, m) with ``m >= 1``.  Entries outside the ball must be
     exactly zero; norms must equal 1 up to ``UNIT_NORM_TOL``.
-    ``exact_gram`` optionally carries the Gram matrix exactly, as a pair
-    ``(counts, size)`` of an integer (n, n) table and one positive
-    denominator (available when the certificate came from equal-size
-    subsets); it must match the vectors' own Gram matrix to 1e-9.
     """
 
     space: FiniteMetricSpace
     radius: float
     vectors: np.ndarray
-    exact_gram: tuple | None = None
 
     def __post_init__(self) -> None:
         n = self.space.n
@@ -134,22 +127,6 @@ class VectorCertificate:
             raise DataError(
                 f"vector at point {worst} has squared norm {sq[worst]!r}"
             )
-        if self.exact_gram is not None:
-            counts, size = self.exact_gram
-            counts = np.array(counts)
-            size = _integer(size, "the exact Gram denominator")
-            if counts.shape != (n, n) or counts.dtype.kind not in "iu" or (
-                size < 1
-            ):
-                raise FormatError(
-                    "exact Gram must be (n, n) integer counts and a size >= 1"
-                )
-            flat = vec.reshape(n, -1)
-            if np.abs(flat @ flat.conj().T - counts / size).max() > 1e-9:
-                raise DataError("exact Gram table does not match the vectors")
-            counts = counts.astype(np.int64)
-            counts.setflags(write=False)
-            object.__setattr__(self, "exact_gram", (counts, size))
         vec.setflags(write=False)
         object.__setattr__(self, "vectors", vec)
 
@@ -157,19 +134,36 @@ class VectorCertificate:
     def m(self) -> int:
         return self.vectors.shape[2]
 
+    @cached_property
+    def exact_gram(self) -> tuple | None:
+        """The Gram matrix exactly, as ``(counts, size)``, or None.
+
+        Defined when every vector has ``size`` nonzero entries, each exactly
+        the real number ``1 / sqrt(size)``: then the Gram entry at (y, z) is
+        ``counts[y, z] / size``, with ``counts`` the read-only int64 table
+        of support overlaps.
+        """
+        flat = self.vectors.reshape(self.space.n, -1)
+        support = flat != 0
+        sizes = support.sum(axis=1)
+        size = int(sizes[0])
+        if (sizes != size).any() or (flat[support] != 1 / np.sqrt(size)).any():
+            return None
+        # A float product runs through BLAS and counts exactly at these sizes.
+        table = support.astype(np.float64)
+        counts = (table @ table.T).astype(np.int64)
+        counts.setflags(write=False)
+        return counts, size
+
+    @cached_property
     def gram(self) -> np.ndarray:
         """Gram matrix of the vectors, with an exactly-unit diagonal.
 
-        Uses the exact rational table when present.  Otherwise the float
-        product is symmetrized (to drop last-bit asymmetry of the matrix
-        product) and the diagonal, already 1 up to ``UNIT_NORM_TOL``, is
-        pinned to exactly 1.  Computed on the first call; every call
-        returns the same read-only array.
+        Read from :attr:`exact_gram` when that is defined.  Otherwise the
+        float product is symmetrized (to drop last-bit asymmetry of the
+        matrix product) and the diagonal, already 1 up to
+        ``UNIT_NORM_TOL``, is pinned to exactly 1.  Read-only.
         """
-        return self._gram
-
-    @cached_property
-    def _gram(self) -> np.ndarray:
         if self.exact_gram is not None:
             counts, size = self.exact_gram
             g = counts / size
@@ -275,20 +269,14 @@ def tree_ray_certificate(
 def subset_to_vector(cert: SubsetCertificate) -> VectorCertificate:
     """Normalized indicator vectors of the subsets.
 
-    When all subsets share one size s, Gram entries are the rationals
-    |A_y intersect A_z| / s and are kept exactly.
+    When all subsets share one size s, the certificate's exact Gram entries
+    are the rationals |A_y intersect A_z| / s.
     """
     n, m = cert.space.n, cert.m
     member = cert.member.reshape(n, -1).astype(np.float64)
     sizes = member.sum(axis=1)
     vec = (member / np.sqrt(sizes)[:, None]).reshape(n, n, m)
-    exact = None
-    if (sizes == sizes[0]).all():
-        # Intersection counts; a float product counts exactly at these sizes.
-        exact = ((member @ member.T).astype(np.int64), int(sizes[0]))
-    return VectorCertificate(
-        space=cert.space, radius=cert.radius, vectors=vec, exact_gram=exact
-    )
+    return VectorCertificate(space=cert.space, radius=cert.radius, vectors=vec)
 
 
 # Certificate constructions that can be named instead of read from a file.
@@ -319,7 +307,7 @@ def vector_to_kernel(cert: VectorCertificate) -> KernelCertificate:
     return KernelCertificate(
         space=cert.space,
         radius=2 * cert.radius,
-        table=cert.gram(),
+        table=cert.gram,
         note="gram of vector certificate",
     )
 
@@ -330,25 +318,6 @@ def kernel_deviation(cert: KernelCertificate, radius: float) -> float:
     return float(np.abs(1.0 - cert.table[band]).max())
 
 
-def check_positive_definite(
-    table: np.ndarray, herm_tol: float = HERMITIAN_TOL
-) -> tuple[bool, float]:
-    """(is positive semidefinite up to tol, smallest eigenvalue).
-
-    Rejects tables that are not Hermitian within ``herm_tol``.  The
-    tolerance scales with size and magnitude: 1e-8 * n * max|k|.
-    """
-    table = np.asarray(table, dtype=np.complex128)
-    herm_err = float(np.abs(table - table.conj().T).max())
-    if herm_err > herm_tol:
-        raise NotHermitian(f"kernel deviates from Hermitian by {herm_err}")
-    eigs = np.linalg.eigvalsh(table)
-    low = float(eigs.min())
-    scale = float(np.abs(table).max()) if table.size else 0.0
-    tol = 1e-8 * table.shape[0] * scale
-    return low >= -tol, low
-
-
 def kernel_checks(cert: KernelCertificate) -> dict:
     """Measured properties of a kernel certificate, as a plain dict.
 
@@ -356,8 +325,8 @@ def kernel_checks(cert: KernelCertificate) -> dict:
     ``psd_ok``, ``measured_propagation``, ``claimed_propagation``.  The
     minimum eigenvalue is computed on the Hermitized table when the raw one
     is slightly asymmetric, and reported as None when it is not Hermitian
-    even approximately; ``psd_ok`` applies the size-scaled tolerance
-    of :func:`check_positive_definite`.
+    even approximately.  ``psd_ok`` allows a size-scaled tolerance: the
+    minimum eigenvalue must be at least -1e-8 * n * max|k|.
     """
     k = cert.table
     diag_err = float(np.abs(np.diagonal(k) - 1.0).max())
@@ -375,9 +344,9 @@ def kernel_checks(cert: KernelCertificate) -> dict:
         result["psd_ok"] = False
         return result
     sym = (k + k.conj().T) / 2
-    ok, low = check_positive_definite(sym, herm_tol=np.inf)
+    low = float(np.linalg.eigvalsh(sym).min())
     result["min_eigenvalue"] = low
-    result["psd_ok"] = bool(ok)
+    result["psd_ok"] = low >= -1e-8 * k.shape[0] * float(np.abs(sym).max())
     return result
 
 
@@ -425,8 +394,8 @@ def certificate_to_json(cert) -> dict:
 def certificate_from_json(obj: dict):
     """Read a certificate document of any form.
 
-    Exact Gram tables are not serialized; reload a subset-form document and
-    convert with :func:`subset_to_vector` to regain exactness.
+    Exact Gram tables are not serialized: a vector certificate derives its
+    own from its vectors (see :attr:`VectorCertificate.exact_gram`).
     """
     if not isinstance(obj, dict) or "form" not in obj:
         raise FormatError("certificate document needs a 'form' field")

@@ -88,7 +88,7 @@ def phi_apply(
     source = compressed.source
     if not same_space(source.space, certificate.space):
         raise DataError("compression and certificate live on different spaces")
-    weights = _expand_weights(certificate.gram(), source.m)
+    weights = _expand_weights(certificate.gram, source.m)
     return BandedOperator(source.space, source.m, weights * source.data)
 
 
@@ -164,22 +164,19 @@ def a_implies_onl_bound(
     if band_radius < 0:
         raise InvalidRadii(f"band radius must be >= 0, got {band_radius}")
     space = certificate.space
-    gram = certificate.gram()
+    gram = certificate.gram
     band = space.dist <= band_radius
     deficit = float(np.abs(1.0 - gram[band]).max())
-    deficit_exact = None
+    kappa = schur_test_kappa(space, band_radius)
+    deficit_exact = epsilon_exact = None
+    epsilon = kappa * deficit
     if certificate.exact_gram is not None:
         # Gram entries of unit vectors are at most 1, so the worst shortfall
         # on the band is 1 minus the smallest entry there.
         counts, size = certificate.exact_gram
         deficit_exact = Fraction(size - int(counts[band].min()), size)
-    kappa = schur_test_kappa(space, band_radius)
-    if deficit_exact is not None:
         epsilon_exact = kappa * deficit_exact
         epsilon = float(epsilon_exact)
-    else:
-        epsilon_exact = None
-        epsilon = kappa * deficit
     checks = []
     all_verified: bool | None = None
     if samples > 0:
@@ -229,7 +226,7 @@ def kernel_from_cp_map(certificate: VectorCertificate) -> KernelCertificate:
     literal route (each matrix unit through compression and
     :func:`phi_apply`, a test oracle), so the two agree bit for bit.
     """
-    table = certificate.gram() * (1 + 0j)
+    table = certificate.gram * (1 + 0j)
     nonzero = table != 0
     np.fill_diagonal(nonzero, False)
     return KernelCertificate(
@@ -503,16 +500,14 @@ def equivalence_experiment(
             "no localization search: need 0 < band radius <= localization "
             "radius"
         )
-    sizes = None
-    if cert.exact_gram is not None:
-        sizes = "equal (exact rational Gram)"
+    exact = cert.exact_gram is not None
     summary = {
         "origin": origin,
         "form": "vector",
         "radius": cert.radius,
         "slots": cert.m,
-        "gram_arithmetic": "exact" if cert.exact_gram is not None else "float",
-        "sizes": sizes,
+        "gram_arithmetic": "exact" if exact else "float",
+        "sizes": "equal (exact rational Gram)" if exact else None,
     }
     note = (
         "certificate built explicitly; kernel extracted entrywise from the "

@@ -47,10 +47,6 @@ class NotATree(DataError):
     """The distance-one graph of the space is not a tree."""
 
 
-class NotHermitian(VerificationError):
-    """A kernel or matrix required to be Hermitian is not."""
-
-
 class RadiusMismatch(DataError):
     """A map built for one localization radius was applied at another."""
 

@@ -162,7 +162,6 @@ def random_banded(
     radius: float,
     seed: int,
     m: int = 1,
-    field: str = "complex",
 ) -> BandedOperator:
     """Seeded Gaussian operator supported on the band of the given radius.
 
@@ -171,14 +170,11 @@ def random_banded(
     """
     if radius < 0:
         raise InvalidParams(f"band radius must be nonnegative, got {radius}")
-    if field not in ("complex", "real"):
-        raise InvalidParams(f"field must be 'complex' or 'real', got {field!r}")
     n = space.n
     ys, zs = np.nonzero(space.dist <= radius)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((ys.size, m, m))
-    if field == "complex":
-        vals = vals + 1j * rng.standard_normal((ys.size, m, m))
+    vals = vals + 1j * rng.standard_normal((ys.size, m, m))
     data = np.zeros((n * m, n * m), dtype=np.complex128)
     # Axes (y, slot, z, slot): each band position's block in one assignment.
     data.reshape(n, m, n, m)[ys, :, zs, :] = vals

@@ -238,6 +238,12 @@ def _hop_distances(n: int, pairs: np.ndarray, sources) -> np.ndarray:
     return dist.reshape(sources.size, n)
 
 
+def _check_table_size(n: int) -> None:
+    """Refuse a space of ``n`` points whose n * n table is too large."""
+    if n * n > MAX_TABLE_ENTRIES:
+        raise DataError(f"{n * n} distances exceed {MAX_TABLE_ENTRIES}")
+
+
 def from_graph(
     n: int,
     edges,
@@ -253,8 +259,7 @@ def from_graph(
     n = _integer(n, "the vertex count")
     if n < 1:
         raise InvalidParams(f"graph needs at least one vertex, got n={n}")
-    if n * n > MAX_TABLE_ENTRIES:
-        raise DataError(f"{n * n} distances exceed {MAX_TABLE_ENTRIES}")
+    _check_table_size(n)
     pairs = []
     for e in edges:
         u, v = (_integer(p, "an edge endpoint") for p in e)
@@ -351,18 +356,21 @@ def generate_family(
     - ``random_regular``: ``{"n": k, "d": d}``; requires an integer seed,
       resamples (deterministically) until the graph is connected
 
-    Seeds are ignored by the deterministic families.
+    Seeds are ignored by the deterministic families.  A family whose n * n
+    table exceeds ``MAX_TABLE_ENTRIES`` raises :class:`DataError` first.
     """
     if kind == "cycle":
         (n,) = _require_params(kind, params, ("n",))
         if n < 3:
             raise InvalidParams(f"cycle needs n >= 3, got {n}")
+        _check_table_size(n)
         edges = [(i, (i + 1) % n) for i in range(n)]
         return from_graph(n, edges, name=f"cycle_{n}")
     if kind == "path":
         (n,) = _require_params(kind, params, ("n",))
         if n < 1:
             raise InvalidParams(f"path needs n >= 1, got {n}")
+        _check_table_size(n)
         edges = [(i, i + 1) for i in range(n - 1)]
         return from_graph(n, edges, name=f"path_{n}")
     if kind == "grid":
@@ -371,6 +379,7 @@ def generate_family(
             raise InvalidParams(f"grid needs rows, cols >= 1, got {rows}x{cols}")
         # Vertex (r, c) is r * cols + c.
         n = rows * cols
+        _check_table_size(n)
         edges = [(v, v + 1) for v in range(n) if (v + 1) % cols]
         edges += [(v, v + cols) for v in range(n - cols)]
         return from_graph(n, edges, name=f"grid_{rows}x{cols}")
@@ -381,6 +390,7 @@ def generate_family(
         # Breadth-first labels: the children of i are 2i + 1 and 2i + 2,
         # which is the layout the rest of the code assumes.
         n = 2 ** (depth + 1) - 1
+        _check_table_size(n)
         edges = [((c - 1) // 2, c) for c in range(1, n)]
         return from_graph(n, edges, name=f"binary_tree_{depth}")
     if kind == "random_regular":
@@ -391,6 +401,7 @@ def generate_family(
             raise InvalidParams(
                 f"random_regular needs 1 <= d < n and n*d even, got n={n}, d={d}"
             )
+        _check_table_size(n)
         seed = _integer(seed, "the seed")
         rng = random.Random(seed)
         # The model can produce disconnected graphs; resample with the same

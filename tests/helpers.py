@@ -79,15 +79,14 @@ def matrix_unit(space, y: int, z: int):
     return nl.BandedOperator(space, 1, data)
 
 
-def literal_random_banded(space, radius, seed, m=1, field="complex"):
+def literal_random_banded(space, radius, seed, m=1):
     """The seeded band operator, one block written per band position."""
     n = space.n
     mask = space.dist <= radius
     positions = np.argwhere(mask)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((len(positions), m, m))
-    if field == "complex":
-        vals = vals + 1j * rng.standard_normal((len(positions), m, m))
+    vals = vals + 1j * rng.standard_normal((len(positions), m, m))
     data = np.zeros((n * m, n * m), dtype=np.complex128)
     for (y, z), block in zip(positions, vals):
         data[y * m : (y + 1) * m, z * m : (z + 1) * m] = block

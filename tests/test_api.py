@@ -85,3 +85,77 @@ def test_no_module_imports_a_name_it_never_uses():
                     if (alias.asname or alias.name.split(".")[0]) not in used
                 ]
     assert unused == []
+
+
+def _defaults() -> dict:
+    """Exported name -> its defaulted parameters, as (name, position).
+
+    Functions give their parameters and dataclasses their fields; a
+    keyword-only parameter has no position.
+    """
+    exports = _exports()
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", None) not in exports:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args]
+                first = len(names) - len(args.defaults)
+                found[node.name] = [
+                    (a, i) for i, a in enumerate(names) if i >= first
+                ] + [
+                    (a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                ]
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _reads(d) for d in node.decorator_list
+            ):
+                fields = [
+                    n for n in node.body
+                    if isinstance(n, ast.AnnAssign)
+                    and isinstance(n.target, ast.Name)
+                ]
+                found[node.name] = [
+                    (n.target.id, i)
+                    for i, n in enumerate(fields)
+                    if n.value is not None
+                ]
+    return found
+
+
+def _passed() -> set:
+    """(callee name, parameter name or position) of every shipped call."""
+    passed = set()
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").glob("*.py")
+        if p.name != "test_perfbench.py"
+    )
+    for path in paths:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(
+                call.func, "attr", None
+            )
+            for position, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                passed.add((name, position))
+            passed |= {(name, k.arg) for k in call.keywords}
+    return passed
+
+
+def test_every_defaulted_parameter_is_set_by_shipped_code():
+    # A default that no call in the library or perfbench overrides is a
+    # knob nobody turns, and the parameter should go.
+    passed = _passed()
+    unset = [
+        f"{name}({param}=)"
+        for name, defaults in sorted(_defaults().items())
+        for param, position in defaults
+        if (name, param) not in passed and (name, position) not in passed
+    ]
+    assert unset == []

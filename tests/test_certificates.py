@@ -77,7 +77,7 @@ def test_ball_certificate_exact_gram_values(c6):
     counts, size = vec.exact_gram
     assert counts.dtype == np.int64 and size == 3
     assert counts[0, :4].tolist() == [3, 2, 1, 0]
-    g = vec.gram()
+    g = vec.gram
     assert np.array_equal(g, counts / size)
     assert g[0, 0] == 1.0
     assert abs(g[0, 1] - 2 / 3) < 1e-15
@@ -86,7 +86,7 @@ def test_ball_certificate_exact_gram_values(c6):
 def test_gram_of_unequal_sizes_is_float(p4):
     vec = nl.subset_to_vector(nl.ball_certificate(p4, 1))
     assert vec.exact_gram is None
-    g = vec.gram()
+    g = vec.gram
     assert (np.diagonal(g) == 1.0).all()
     # end ball {0,1} against middle ball {0,1,2}
     assert abs(g[0, 1] - 2 / math.sqrt(6)) < 1e-12
@@ -97,7 +97,7 @@ def test_vector_certificate_validation(c6):
     for x in range(6):
         vecs[x, x, 0] = 1.0
     ok = nl.VectorCertificate(c6, 0, vecs)
-    assert ok.gram()[0, 1] == 0.0
+    assert ok.gram[0, 1] == 0.0
 
     off = vecs.copy()
     off[0, 3, 0] = 0.5
@@ -132,10 +132,16 @@ def test_gram_is_computed_once_and_read_only(c60, p4):
     # cycle balls share one size (exact Gram), path balls do not (float)
     for sp in (c60, p4):
         vec = nl.subset_to_vector(nl.ball_certificate(sp, 1))
-        g = vec.gram()
-        assert vec.gram() is g
+        g = vec.gram
+        assert vec.gram is g
         with pytest.raises(ValueError):
             g[0, 1] = 0.0
+        for name in ("gram", "exact_gram"):
+            with pytest.raises(AttributeError):
+                setattr(vec, name, None)
+    counts, _ = nl.subset_to_vector(nl.ball_certificate(c60, 1)).exact_gram
+    with pytest.raises(ValueError):
+        counts[0, 1] = 0
 
 
 def test_tree_ray_certificate_overlaps():
@@ -179,22 +185,30 @@ def test_ball_certificate_is_the_distance_test(c60, btree6, grid8):
 
 def test_subset_to_vector_matches_pair_oracle(c60, btree6, grid8):
     bt3 = nl.generate_family("binary_tree", {"depth": 3})
+    p20 = nl.generate_family("path", {"n": 20})
     cases = [
         (nl.ball_certificate(c60, 10), literal_ball_subsets(c60, 10)),
+        (nl.ball_certificate(p20, 3), literal_ball_subsets(p20, 3)),
         (nl.ball_certificate(btree6, 5), literal_ball_subsets(btree6, 5)),
         (nl.ball_certificate(grid8, 5), literal_ball_subsets(grid8, 5)),
         (nl.tree_ray_certificate(bt3, 4), literal_tree_ray_subsets(bt3, 4)),
+    ] + [
+        (nl.tree_ray_certificate(btree6, length),
+         literal_tree_ray_subsets(btree6, length))
+        for length in range(1, 9)
     ]
     for cert, subsets in cases:
         n, m = cert.space.n, cert.m
         vectors, exact = literal_subset_vectors(subsets, n, m)
         vec = nl.subset_to_vector(cert)
         assert vec.vectors.tobytes() == vectors.tobytes()
+        # the certificate derives its exact Gram from the vectors alone
         if exact is None:
             assert vec.exact_gram is None
         else:
             assert vec.exact_gram[0].tobytes() == exact[0].tobytes()
             assert vec.exact_gram[1] == exact[1]
+            assert vec.gram.tobytes() == (exact[0] / exact[1]).tobytes()
 
 
 def test_tree_ray_rejects_non_trees(c6):
@@ -208,8 +222,8 @@ def test_vector_to_kernel(c6):
     assert kern.radius == 2
     assert (np.diagonal(kern.table) == 1.0).all()
     assert not kern.table[c6.dist > 2].any()
-    ok, low = nl.check_positive_definite(kern.table)
-    assert ok and low > -1e-10
+    report = nl.kernel_checks(kern)
+    assert report["psd_ok"] and report["min_eigenvalue"] > -1e-10
 
 
 def test_kernel_deviation(c6):
@@ -226,16 +240,18 @@ def test_kernel_certificate_rejects_entries_beyond_radius(c6):
         nl.KernelCertificate(c6, 2, table)
 
 
-def test_check_positive_definite():
-    good = np.array([[1.0, 0.5], [0.5, 1.0]])
-    ok, low = nl.check_positive_definite(good)
-    assert ok and abs(low - 0.5) < 1e-12
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-    ok, low = nl.check_positive_definite(bad)
-    assert not ok and abs(low + 1.0) < 1e-12
-    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(nl.NotHermitian):
-        nl.check_positive_definite(skew)
+def test_kernel_checks_positive_definite():
+    p2 = nl.generate_family("path", {"n": 2})
+
+    def checks(table):
+        return nl.kernel_checks(nl.KernelCertificate(p2, 1, table))
+
+    good = checks([[1.0, 0.5], [0.5, 1.0]])
+    assert good["psd_ok"] and abs(good["min_eigenvalue"] - 0.5) < 1e-12
+    bad = checks([[1.0, 2.0], [2.0, 1.0]])
+    assert not bad["psd_ok"] and abs(bad["min_eigenvalue"] + 1.0) < 1e-12
+    skew = checks([[1.0, 1.0], [0.0, 1.0]])
+    assert skew["min_eigenvalue"] is None and skew["psd_ok"] is False
 
 
 def test_triangular_kernel_on_path_is_positive():
@@ -274,6 +290,10 @@ def test_certificate_json_round_trip(c6, form):
         assert np.array_equal(back.member, cert.member)
     elif form == "vector":
         assert np.array_equal(back.vectors, cert.vectors)
+        # normalized equal-size indicators keep their exact Gram
+        assert back.exact_gram[1] == cert.exact_gram[1] == 3
+        assert np.array_equal(back.exact_gram[0], cert.exact_gram[0])
+        assert back.gram.tobytes() == cert.gram.tobytes()
     else:
         assert np.array_equal(back.table, cert.table)
 
@@ -307,16 +327,27 @@ def test_subset_round_trip_recovers_exactness(c6):
 
 def test_exact_gram_must_match_the_vectors(c6):
     vec = nl.subset_to_vector(nl.ball_certificate(c6, 1))
-    same = nl.VectorCertificate(c6, 1, vec.vectors, exact_gram=vec.exact_gram)
-    assert np.array_equal(same.gram(), vec.gram())
-    # an all-ones table would certify epsilon = 0 where the truth is 1
-    forged = (np.ones((6, 6), dtype=np.int64), 1)
-    with pytest.raises(nl.DataError):
-        nl.VectorCertificate(c6, 1, vec.vectors, exact_gram=forged)
-    for bad in ((vec.exact_gram[0] / 3, 1), (vec.exact_gram[0][:5], 3),
-                (vec.exact_gram[0], 0)):
-        with pytest.raises(nl.FormatError):
-            nl.VectorCertificate(c6, 1, vec.vectors, exact_gram=bad)
+    same = nl.VectorCertificate(c6, 1, vec.vectors)
+    assert same.exact_gram[1] == 3
+    assert same.gram.tobytes() == vec.gram.tobytes()
+    with pytest.raises(TypeError):
+        nl.VectorCertificate(c6, 1, vec.vectors, exact_gram=vec.exact_gram)
+    # one entry a last bit off is no longer an indicator: float Gram
+    nudged = vec.vectors.copy()
+    nudged[0, 0, 0] = np.nextafter(nudged[0, 0, 0].real, 1.0)
+    off = nl.VectorCertificate(c6, 1, nudged)
+    assert off.exact_gram is None
+    assert off.gram[0, 0] == 1.0 and off.gram[0, 1] != 2 / 3
+    # equal support sizes with unequal weights are not indicators either
+    weighted = np.zeros((6, 6, 1))
+    for x in range(6):
+        weighted[x, x, 0], weighted[x, (x + 1) % 6, 0] = 0.6, 0.8
+    tilted = nl.VectorCertificate(c6, 1, weighted)
+    assert tilted.exact_gram is None
+    assert abs(tilted.gram[0, 1] - 0.48) < 1e-15
+    # an imaginary part breaks exactness as well
+    turned = vec.vectors * 1j
+    assert nl.VectorCertificate(c6, 1, turned).exact_gram is None
 
 
 @pytest.mark.parametrize(

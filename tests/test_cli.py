@@ -1,7 +1,11 @@
 import hashlib
 import json
 import os
+import resource
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,29 @@ def test_space_validate_malformed_graph_document_exit_3(
     captured = capsys.readouterr()
     assert "ok:" not in captured.out
     assert message in captured.err
+
+
+def test_space_gen_past_the_entry_bound_exits_3(tmp_path):
+    # A child process capped at 1 GiB of address space: a size check that
+    # came after the 2**41-edge list would fail there, not fill memory.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(nl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    out = tmp_path / "tree.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "normloc.cli", "space", "gen", "--kind",
+         "binary-tree", "--depth", "40", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_memory,
+    )
+    assert done.returncode == 3
+    assert "exceed 67108864" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 _PAIR = {"labels": ["0", "1"], "dist": [[0, 1], [1, 0]]}
@@ -370,6 +397,18 @@ def test_cert_check_reports_exact_epsilon(tmp_path, capsys):
     assert "kappa: 3" in text
     assert "epsilon_exact: 1/7" in text
     assert "vacuous: False" in text
+
+
+def test_cert_check_vector_document_keeps_exact_epsilon(tmp_path, capsys):
+    path = _space_file(tmp_path, n=60, name="c60.json")
+    out = str(tmp_path / "ball.json")
+    assert main(
+        ["cert", "build", "--space", path, "--kind", "ball",
+         "--radius", "10", "--form", "vector", "--out", out]
+    ) == 0
+    capsys.readouterr()
+    assert main(["cert", "check", "--in", out, "--band-radius", "1"]) == 0
+    assert "epsilon_exact: 1/7" in capsys.readouterr().out
 
 
 def test_cert_check_tampered_kernel_exit_4(tmp_path, capsys):

@@ -24,13 +24,13 @@ def test_phi_agrees_with_schur_multiplication(c60):
     a = nl.random_banded(c60, 1, seed=4)
     comp = nl.compress(a, 5)
     routed = nl.phi_apply(cert, comp)
-    direct = literal_schur_multiply(a, cert.gram())
+    direct = literal_schur_multiply(a, cert.gram)
     assert np.array_equal(routed.to_dense(), direct.to_dense())
     # and compressing the output recovers the Gram-weighted blocks
     out_comp = nl.compress(routed, 5)
     for x in range(0, 60, 7):
         points = nl.ball(c60, x, 5)
-        weighted = cert.gram()[np.ix_(points, points)] * comp.block(x)
+        weighted = cert.gram[np.ix_(points, points)] * comp.block(x)
         assert np.array_equal(out_comp.block(x), weighted)
 
 
@@ -52,7 +52,7 @@ def test_phi_multislot(c6):
     cert = _ball_cert(c6, 2)
     a = nl.random_banded(c6, 1, seed=11, m=2)
     routed = nl.phi_apply(cert, nl.compress(a, 2))
-    direct = literal_schur_multiply(a, cert.gram())
+    direct = literal_schur_multiply(a, cert.gram)
     assert routed.m == 2
     assert np.array_equal(routed.to_dense(), direct.to_dense())
 
@@ -117,7 +117,7 @@ def test_onl_bound_spot_constant(c60):
 def test_kernel_extraction_matches_gram(c60):
     cert = _ball_cert(c60, 10)
     kernel = nl.kernel_from_cp_map(cert)
-    gram = cert.gram()
+    gram = cert.gram
     overlap = ball_overlap(c60, 10)
     assert np.array_equal(kernel.table[overlap], gram[overlap])
     assert not kernel.table[~overlap].any()

@@ -120,10 +120,6 @@ def test_random_banded_support_and_determinism(c60):
     inside = c60.dist <= 2
     assert (a.to_dense()[inside] != 0).all()
     assert nl.propagation(a) == 2
-    real = nl.random_banded(c60, 1, seed=9, field="real")
-    assert (real.to_dense().imag == 0).all()
-    with pytest.raises(nl.InvalidParams):
-        nl.random_banded(c60, 1, seed=0, field="rational")
 
 
 def test_random_banded_matches_literal_route(c6, grid3):
@@ -131,13 +127,10 @@ def test_random_banded_matches_literal_route(c6, grid3):
     for space in (c6, grid3, tree):
         for m in (1, 2, 3):
             for radius in (0, 1, 2):
-                for field in ("complex", "real"):
-                    for seed in range(5):
-                        a = nl.random_banded(space, radius, seed, m, field)
-                        want = literal_random_banded(
-                            space, radius, seed, m, field
-                        )
-                        assert a.data.tobytes() == want.tobytes()
+                for seed in range(5):
+                    a = nl.random_banded(space, radius, seed, m)
+                    want = literal_random_banded(space, radius, seed, m)
+                    assert a.data.tobytes() == want.tobytes()
 
 
 def test_random_banded_multislot(c6):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -224,6 +225,32 @@ def test_from_graph_refuses_a_table_past_the_entry_bound():
     n = int(np.sqrt(nl.space.MAX_TABLE_ENTRIES)) + 1
     with pytest.raises(nl.DataError, match="exceed"):
         nl.from_graph(n, [])
+
+
+# Each family just past the bound of 8192 points, so that a check that
+# came too late would only build a small edge list before failing.
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("cycle", {"n": 8193}),
+        ("path", {"n": 8193}),
+        ("grid", {"rows": 91, "cols": 91}),
+        ("binary_tree", {"depth": 13}),
+        ("random_regular", {"n": 8194, "d": 3}),
+    ],
+)
+def test_families_past_the_entry_bound_build_no_edges(
+    monkeypatch, kind, params
+):
+    assert math.isqrt(nl.space.MAX_TABLE_ENTRIES) == 8192
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("edges built before the size check")
+
+    monkeypatch.setattr(nl.space, "from_graph", unreachable)
+    monkeypatch.setattr(nl.space, "_regular_edges", unreachable)
+    with pytest.raises(nl.DataError, match="exceed"):
+        nl.generate_family(kind, params, seed=1)
 
 
 def test_validate_metric_passes_on_families(c6, grid3, btree6):
