@@ -32,8 +32,8 @@ from .errors import (
     VerificationError,
 )
 from .space import (
-    MAX_TABLE_ENTRIES,
     FiniteMetricSpace,
+    _check_entries,
     _integer,
     _number,
     _records,
@@ -109,7 +109,7 @@ class VectorCertificate:
 
     def __post_init__(self) -> None:
         n = self.space.n
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise InvalidParams(f"radius must be nonnegative, got {self.radius}")
         vec = np.array(self.vectors, dtype=np.complex128)
         if vec.ndim != 3 or vec.shape[:2] != (n, n) or vec.shape[2] < 1:
@@ -195,7 +195,7 @@ class KernelCertificate:
 
     def __post_init__(self) -> None:
         n = self.space.n
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise InvalidParams(f"radius must be nonnegative, got {self.radius}")
         table = np.array(self.table, dtype=np.complex128)
         if table.shape != (n, n):
@@ -410,9 +410,7 @@ def certificate_from_json(obj: dict):
         m = _integer(obj.get("m", 1), "'m'")
         if m < 1:
             raise FormatError(f"slot count must be >= 1, got {m}")
-        entries = space.n**2 * m
-        if entries > MAX_TABLE_ENTRIES:
-            raise DataError(f"{entries} entries exceed {MAX_TABLE_ENTRIES}")
+        _check_entries(space.n**2 * m, "entries")
     if form == "subset":
         raw = obj.get("subsets")
         if not isinstance(raw, list):

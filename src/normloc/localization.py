@@ -30,12 +30,14 @@ from .errors import (
     ZeroOperator,
 )
 from .operators import (
+    DENSE_NORM_LIMIT,
     BandedOperator,
     operator_norm,
     propagation,
+    _scratch,
+    _top_values,
     random_banded,
     top_singular_pair,
-    top_singular_values,
 )
 from .space import (
     BallIndex,
@@ -49,6 +51,11 @@ from .space import (
 # Slack allowed when verifying chain inequalities that hold exactly in
 # arithmetic but pass through floating-point norms.
 CHAIN_TOL = 1e-10
+# BLAS sums the inner dimension of a Gram product in blocks (128 complex
+# entries in OpenBLAS 0.3.31's SkylakeX zgemm), so dropping zero rows
+# regroups the sum of a Gram longer than one block.  The column search
+# reads only the rows its columns reach up to this operator side.
+_GRAM_BLOCK = 128
 
 
 def expand_indices(points: np.ndarray, m: int) -> np.ndarray:
@@ -70,27 +77,47 @@ def support_diameter(space: FiniteMetricSpace, points) -> float | int:
 
 def _ball_table(index: BallIndex, centers: np.ndarray, m: int) -> np.ndarray:
     """(centers, ball size * m) flat indices of equal-size balls."""
-    points = np.stack([index.balls[x] for x in centers])
-    return (points[:, :, None] * m + np.arange(m)).reshape(len(centers), -1)
+    points = np.concatenate([index.balls[x] for x in centers.tolist()])
+    k = len(centers)
+    return (points.reshape(k, -1, 1) * m + np.arange(m)).reshape(k, -1)
 
 
-def _top_singular_values(
-    index: BallIndex, groups: tuple, m: int, gather
-) -> tuple[np.ndarray, np.ndarray]:
-    """(centers, largest singular value of each gathered ball matrix).
+def _gather(source: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``source[rows, cols]`` for broadcastable 3-d index arrays, gathered
+    into scratch arrays (:func:`~normloc.operators._scratch`)."""
+    shape = tuple(map(max, rows.shape, cols.shape))
+    flat = np.add(
+        rows * source.shape[1], cols, out=_scratch("index", shape, np.intp)
+    )
+    # Every index is in range; "wrap" skips the checked, buffered take.
+    out = _scratch("stack", shape, source.dtype)
+    return np.take(source, flat, out=out, mode="wrap")
 
-    ``groups`` holds centers of equal ball size; ``gather`` maps the
-    index table of one group to its stack of matrices in one fancy index,
-    so each group is one kernel pass.  Centers come back in increasing
-    order.
+
+def _padded_rows(reached: np.ndarray, m: int) -> np.ndarray:
+    """(rows of ``reached``, widest row * m) flat indices of the points each
+    boolean row holds, in increasing order.
+
+    Each row is padded past its points with point ``n``, whose flat
+    indices run just past the last point's; an empty row gets one pad.
+    """
+    k, n = reached.shape
+    sizes = reached.sum(axis=1)
+    points = np.full((k, max(sizes.max(), 1)), n, dtype=np.int64)
+    points[np.arange(points.shape[1]) < sizes[:, None]] = np.nonzero(reached)[1]
+    return (points[:, :, None] * m + np.arange(m)).reshape(k, -1)
+
+
+def _by_center(groups: tuple, values_of) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, ``values_of(group)`` for each center) over size groups.
+
+    ``groups`` holds centers of equal ball size, so each group is one
+    kernel pass.  Centers come back in increasing order.
     """
     if not groups:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     centers = np.concatenate(groups)
-    values = np.concatenate([
-        top_singular_values(gather(_ball_table(index, xs, m)))
-        for xs in groups
-    ])
+    values = np.concatenate([values_of(xs) for xs in groups])
     order = np.argsort(centers)
     return centers[order], values[order]
 
@@ -116,11 +143,15 @@ class BlockCompression:
         return self.source.data[np.ix_(idx, idx)]
 
     def _norms(self, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
-        data = self.source.data
-        return _top_singular_values(
-            self.index, groups, self.source.m,
-            lambda idx: data[idx[:, :, None], idx[:, None, :]],
-        )
+        data, m = self.source.data, self.source.m
+
+        def values_of(xs):
+            idx = _ball_table(self.index, xs, m)
+            return _top_values(
+                _gather(data, idx[:, :, None], idx[:, None, :]), rows=False
+            )
+
+        return _by_center(groups, values_of)
 
     def maximal_norms(self) -> np.ndarray:
         """Spectral norm of each maximal ball's block, as ``index.maximal``."""
@@ -158,6 +189,46 @@ def compress(a: BandedOperator, radius: float) -> BlockCompression:
     )
 
 
+def _column_search(a: BandedOperator, index: BallIndex) -> tuple[int, float]:
+    """(center, norm) of the maximal ball whose columns carry the most norm.
+
+    The columns of a ball are nonzero only in the rows that the operator's
+    support links to the ball; under propagation R these lie in the ball
+    of radius S + R.  Each column restriction is gathered over those rows
+    only, padded with zero rows to the widest of its ball-size group, so
+    each group is still one stack.  Zero rows add nothing to the ball-side
+    Gram ``M M^H``, which is kept whenever the ball is not the whole
+    space, so the norms are those of the full columns, bit for bit.  Full
+    rows are read where that would not hold: for one-column balls, whose
+    Gram is a dot product summed in SIMD lanes by position, and past
+    ``_GRAM_BLOCK`` rows.  Ties go to the smallest center.  Raises
+    :class:`ZeroOperator` when the operator kills every ball.
+    """
+    n, m = a.n, a.m
+    side = n * m
+    source = a.data
+    if side <= _GRAM_BLOCK:
+        # Counts below 2^24, so exact in float32.
+        within = a.space.dist[index.maximal] <= index.radius
+        reached = within.astype(np.float32) @ a.support.T.astype(np.float32) > 0
+        source = np.concatenate([source, np.zeros((m, side))])
+
+    def values_of(xs):
+        cols = _ball_table(index, xs, m)
+        if side > _GRAM_BLOCK or cols.shape[1] == 1:
+            rows = np.arange(side)[None, :]
+        else:
+            rows = _padded_rows(reached[np.searchsorted(index.maximal, xs)], m)
+        stack = _gather(source, rows[:, None, :], cols[:, :, None])
+        return _top_values(stack, rows=cols.shape[1] < side)
+
+    centers, norms = _by_center(index.groups, values_of)
+    if not norms.size or norms.max() == 0.0:
+        raise ZeroOperator("operator vanishes on every ball")
+    best = int(np.argmax(norms))
+    return int(centers[best]), float(norms[best])
+
+
 @dataclass(frozen=True, eq=False)
 class ColumnWitness:
     """A unit vector supported in one ball, with its amplification norm."""
@@ -173,34 +244,26 @@ def best_localized_vector(a: BandedOperator, radius: float) -> ColumnWitness:
 
     Restricting a to the columns of a sub-ball gives a submatrix of its
     restriction to the larger ball, so only the inclusion-maximal balls are
-    scanned, one :func:`top_singular_values` pass per ball size.  The
+    scanned, one :func:`top_singular_values` pass per ball size, each over
+    the rows that the ball's columns reach (:func:`_column_search`).  The
     winner (smallest center among maximal balls on ties; equal balls count
     under their smallest center) takes its vector from
-    :func:`top_singular_pair`.  A ball inside another never wins a tie:
-    identity on a path at radius 1 picks center 1, not the end point 0.
-    Raises
-    :class:`ZeroOperator` when the operator kills every ball, which happens
-    exactly when it is zero.
+    :func:`top_singular_pair` over full rows; :func:`localization_report`
+    reads only the center and norm, and never computes the vector.  A ball
+    inside another never wins a tie: identity on a path at radius 1 picks
+    center 1, not the end point 0.  Raises :class:`ZeroOperator` when the
+    operator kills every ball, which happens exactly when it is zero.
     """
-    n, m = a.n, a.m
     index = ball_index(a.space, radius)
-    # Each ball's columns are gathered as rows of the transpose, which has
-    # the same singular values.
-    centers, norms = _top_singular_values(
-        index, index.groups, m, lambda idx: a.data.T[idx]
-    )
-    if not norms.size or norms.max() == 0.0:
-        raise ZeroOperator("operator vanishes on every ball")
-    best = int(np.argmax(norms))
-    center = int(centers[best])
-    cols = expand_indices(index.balls[center], m)
-    vec = np.zeros(n * m, dtype=np.complex128)
+    center, norm = _column_search(a, index)
+    cols = expand_indices(index.balls[center], a.m)
+    vec = np.zeros(a.n * a.m, dtype=np.complex128)
     vec[cols] = top_singular_pair(a.data[:, cols])[1]
     return ColumnWitness(
         center=center,
         points=np.asarray(index.balls[center], dtype=np.int64),
         vector=vec,
-        column_norm=float(norms[best]),
+        column_norm=norm,
     )
 
 
@@ -264,6 +327,11 @@ def localization_report(a: BandedOperator, radius: float) -> LocalizationReport:
     The widened radius is the localization radius plus the measured
     propagation of the operator.  The chain inequalities are verified with
     ``CHAIN_TOL`` slack and the worst violation is recorded, not raised.
+    The column norm and witness center come from the column search behind
+    :func:`best_localized_vector`, without the winner's vector.  When a
+    ball at the widened radius is the whole space and the operator norm
+    took the dense route, that norm is the wide norm: the one block is the
+    same matrix.
     """
     return _report_and_norms(a, radius)[0]
 
@@ -276,11 +344,20 @@ def _report_and_norms(
     if norm_a == 0.0:
         raise ZeroOperator("cannot profile the zero operator")
     prop = propagation(a)
-    norms = compress(a, radius).maximal_norms()
+    comp = compress(a, radius)
+    norms = comp.maximal_norms()
     sq = float(max(norms, default=0.0))
-    col_witness = best_localized_vector(a, radius)
-    col = col_witness.column_norm
-    wide = compress(a, radius + prop).norm()
+    center, col = _column_search(a, comp.index)
+    reach = ball_index(a.space, radius + prop)
+    if (
+        len(reach.balls[reach.maximal[0]]) == a.n
+        and a.data.shape[0] <= DENSE_NORM_LIMIT
+    ):
+        # The one maximal ball is the whole space, and its block is the
+        # matrix that operator_norm factorized.
+        wide = norm_a
+    else:
+        wide = compress(a, radius + prop).norm()
     sigma_sq = sq / norm_a
     sigma_col = col / norm_a
     sigma_wide = wide / norm_a
@@ -298,7 +375,7 @@ def _report_and_norms(
         sigma_sq=sigma_sq,
         sigma_col=sigma_col,
         sigma_sq_wide=sigma_wide,
-        witness_center=col_witness.center,
+        witness_center=center,
         chain_ok=bool(
             sigma_sq <= sigma_col + CHAIN_TOL
             and sigma_col <= sigma_wide + CHAIN_TOL

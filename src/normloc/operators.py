@@ -9,6 +9,8 @@ leaves both.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +36,8 @@ DENSE_NORM_LIMIT = 512
 # remaining Ritz gain, and raises past this many steps.
 POWER_TOL = 1e-10
 POWER_STEP_CAP = 10_000
+# Arrays between these sizes are kept for reuse (:func:`_scratch`).
+_SCRATCH_BYTES = (64 << 10, 4 << 20)
 
 
 def same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> bool:
@@ -186,19 +190,54 @@ def propagation(a: BandedOperator):
     return largest_distance(a.space, a.support)
 
 
-def _scale_by_powers_of_two(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(scaled nonempty stack, exponents), as in :func:`top_singular_values`."""
-    *batch, p, q = stack.shape
-    parts = np.ascontiguousarray(stack).reshape(*batch, p * q)
-    if parts.dtype.kind == "c":
-        parts = parts.view(parts.real.dtype)
+def _parts(stack: np.ndarray) -> np.ndarray:
+    """Each matrix of a ``(k, p, q)`` stack as one row of its entries, real
+    and imaginary parts side by side."""
+    parts = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    return parts.view(parts.real.dtype) if parts.dtype.kind == "c" else parts
+
+
+_scratch_buffers = threading.local()
+
+
+def _scratch(slot: str, shape: tuple, dtype) -> np.ndarray | None:
+    """An uninitialized array of ``shape`` over a buffer this thread keeps,
+    or None (allocate afresh) outside the sizes of ``_SCRATCH_BYTES``.
+
+    The stacks of a report are a few hundred KB each.  Fresh arrays of
+    that size make the allocator return memory to the kernel and fault
+    it back in for the next stack: about 2,400 page faults and 4.5 ms of
+    system time per equiv-cycle op.  Kept buffers make no faults.  Small
+    arrays come from the allocator's free lists, where a kept buffer
+    saves nothing and costs a lookup.  The array is valid until this
+    thread asks for ``slot`` again.
+    """
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    low, high = _SCRATCH_BYTES
+    if not low <= size * dtype.itemsize <= high:
+        return None
+    buffers = vars(_scratch_buffers)
+    buffer = buffers.get((slot, dtype))
+    if buffer is None or buffer.size < size:
+        buffer = buffers[slot, dtype] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
+
+
+def _scale_by_powers_of_two(
+    stack: np.ndarray, parts: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(scaled nonempty ``(k, p, q)`` stack, exponents), as in
+    :func:`top_singular_values`; ``parts`` is :func:`_parts` of it.  The
+    scaled stack is written to ``out`` when given."""
     peak = np.maximum(parts.max(axis=-1), -parts.min(axis=-1))
     if not np.isfinite(peak).all():
         raise DataError("matrix has NaN or infinite entries")
     # A subnormal peak is lifted only as far as 2^1020 allows, which still
     # keeps its Gram clear of underflow.
     exponent = np.maximum(np.frexp(peak)[1], -1020)
-    return stack * np.ldexp(1.0, -exponent)[..., None, None], exponent
+    factors = np.ldexp(1.0, -exponent)[:, None, None]
+    return np.multiply(stack, factors, out=out), exponent
 
 
 def top_singular_values(stack) -> np.ndarray:
@@ -208,7 +247,11 @@ def top_singular_values(stack) -> np.ndarray:
     largest real or imaginary part into [1/2, 1), so its Gram can neither
     overflow nor underflow to zero; the value is the square root of the top
     eigenvalue of the smaller Gram (``M^H M`` or ``M M^H``), scaled back.
-    Raises :class:`DataError` on a NaN or infinite entry.
+    A matrix that the stack repeats bit for bit is factorized once
+    (:func:`_repeats`); each value is the one a lone factorization gives.
+    A large stack is scaled and multiplied in arrays each thread keeps
+    (:func:`_scratch`).  Raises :class:`DataError` on a NaN or infinite
+    entry.
     """
     stack = np.asarray(stack)
     if stack.ndim < 2:
@@ -216,11 +259,82 @@ def top_singular_values(stack) -> np.ndarray:
     *batch, p, q = stack.shape
     if stack.size == 0:
         return np.zeros(batch)
-    scaled, exponent = _scale_by_powers_of_two(stack)
-    adjoint = np.swapaxes(scaled.conj(), -1, -2)
-    gram = adjoint @ scaled if p >= q else scaled @ adjoint
-    top = np.linalg.eigvalsh(gram)[..., -1]
-    return np.ldexp(np.sqrt(top), exponent)
+    return _top_values(stack, rows=p < q)
+
+
+def _top_values(stack: np.ndarray, rows: bool) -> np.ndarray:
+    """:func:`top_singular_values` of a nonempty stack, with the Gram
+    ``M M^H`` when ``rows`` is set and ``M^H M`` otherwise."""
+    *batch, p, q = stack.shape
+    flat = stack.reshape(-1, p, q)
+    parts = _parts(flat)
+    repeats = _repeats(parts)
+    if repeats is not None:
+        flat, parts = flat[repeats[0]], parts[repeats[0]]
+    k = len(flat)
+    dtype = np.promote_types(flat.dtype, np.float64)
+    scaled, exponent = _scale_by_powers_of_two(
+        flat, parts, out=_scratch("scaled", (k, p, q), dtype)
+    )
+    # The conjugate of a real array is the array itself, and numpy's matmul
+    # then takes the symmetric product; a copy would change its bits.
+    conj = scaled
+    if dtype.kind == "c":
+        conj = np.conjugate(scaled, out=_scratch("conj", (k, p, q), dtype))
+    adjoint = np.swapaxes(conj, -1, -2)
+    side = p if rows else q
+    out = _scratch("gram", (k, side, side), dtype)
+    if rows:
+        gram = np.matmul(scaled, adjoint, out=out)
+    else:
+        gram = np.matmul(adjoint, scaled, out=out)
+    values = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[:, -1]), exponent)
+    if repeats is not None:
+        values = values[repeats[1]]
+    return values.reshape(batch)
+
+
+_weights = np.zeros(0)
+
+
+def _fingerprint_weights(size: int) -> np.ndarray:
+    """The first ``size`` of one fixed sequence of weights in [1, 2).
+
+    The sequence is drawn once and redrawn longer when a longer prefix is
+    asked for; a longer draw starts with the shorter one, so the weights
+    never depend on earlier calls.
+    """
+    global _weights
+    if _weights.size < size:
+        _weights = np.random.default_rng(0).uniform(1.0, 2.0, 2 * size)
+        _weights.setflags(write=False)
+    return _weights[:size]
+
+
+def _repeats(parts: np.ndarray) -> tuple | None:
+    """(first index of each distinct matrix, index of each matrix's
+    representative among those) when a stack repeats a matrix bit for bit,
+    else None.  ``parts`` is :func:`_parts` of the stack.
+
+    One fingerprint per matrix, the dot product of its parts with a fixed
+    vector, finds candidate repeats cheaply: two equal fingerprints make
+    a repeat, and NaN equals nothing.  ``einsum`` sums every row
+    the same way, so equal matrices get equal fingerprints; a BLAS product
+    sums rows differently by their position in the stack.  Candidates
+    count only when every matrix equals its representative as unsigned
+    integers of the parts' width, so -0.0 and 0.0 differ.  A fingerprint
+    collision gives None.
+    """
+    if len(parts) < 2:
+        return None
+    prints = np.einsum("ij,j->i", parts, _fingerprint_weights(parts.shape[1]))
+    if len(set(prints.tolist())) == len(prints):
+        return None
+    _, first, inverse = np.unique(prints, return_index=True, return_inverse=True)
+    bits = parts.view(f"u{parts.itemsize}")
+    if not np.array_equal(bits, bits[first[inverse]]):
+        return None
+    return first, inverse
 
 
 def top_singular_pair(mat) -> tuple[float, np.ndarray]:
@@ -242,7 +356,8 @@ def _top_pair(mat: np.ndarray, iterate: bool) -> tuple[float, np.ndarray]:
     q = mat.shape[1]
     if not mat.any():
         return 0.0, np.eye(q, 1, dtype=np.complex128).ravel()
-    scaled, exponent = _scale_by_powers_of_two(mat)
+    scaled, exponent = _scale_by_powers_of_two(mat[None], _parts(mat[None]))
+    scaled, exponent = scaled[0], exponent[0]
     adjoint = scaled.conj().T
     if iterate:
         top, right = _block_power(scaled, adjoint)

@@ -238,10 +238,20 @@ def _hop_distances(n: int, pairs: np.ndarray, sources) -> np.ndarray:
     return dist.reshape(sources.size, n)
 
 
+def _check_entries(count: int, what: str) -> None:
+    """Refuse ``count`` table entries past ``MAX_TABLE_ENTRIES``.
+
+    A count too long to print is given by its power of two.
+    """
+    if count > MAX_TABLE_ENTRIES:
+        bits = count.bit_length()
+        shown = count if bits <= 64 else f"at least 2**{bits - 1}"
+        raise DataError(f"{shown} {what} exceed {MAX_TABLE_ENTRIES}")
+
+
 def _check_table_size(n: int) -> None:
     """Refuse a space of ``n`` points whose n * n table is too large."""
-    if n * n > MAX_TABLE_ENTRIES:
-        raise DataError(f"{n * n} distances exceed {MAX_TABLE_ENTRIES}")
+    _check_entries(n * n, "distances")
 
 
 def from_graph(
@@ -387,6 +397,12 @@ def generate_family(
         (depth,) = _require_params(kind, params, ("depth",))
         if depth < 0:
             raise InvalidParams(f"binary_tree needs depth >= 0, got {depth}")
+        # Past this depth the point count alone is over the cap, so the
+        # count, which has about depth / 3 digits, is never formed.
+        if depth >= MAX_TABLE_ENTRIES.bit_length():
+            raise DataError(
+                f"at least 2**{2 * depth} distances exceed {MAX_TABLE_ENTRIES}"
+            )
         # Breadth-first labels: the children of i are 2i + 1 and 2i + 2,
         # which is the layout the rest of the code assumes.
         n = 2 ** (depth + 1) - 1

@@ -5,6 +5,8 @@ Reference values are computed by algorithms different from the library's
 against iterative or blockwise norms) so agreement is meaningful.
 """
 
+import math
+
 import numpy as np
 
 import normloc as nl
@@ -57,6 +59,24 @@ def naive_column_norm(a, radius: float) -> float:
         points = np.flatnonzero(a.space.dist[x] <= radius)
         idx = np.concatenate([np.arange(p * m, (p + 1) * m) for p in points])
         best = max(best, dense_norm(a.data[:, idx]))
+    return best
+
+
+def literal_column_search(a, radius: float) -> tuple:
+    """(center, norm) of the column search over full rows, one ball at a
+    time.
+
+    Each maximal ball's columns are read as rows of the transpose, over
+    every row of the operator, and go through ``top_singular_values``
+    alone.  The largest norm wins, the smallest center on ties.
+    """
+    index = nl.ball_index(a.space, radius)
+    best = (None, -1.0)
+    for x in index.maximal:
+        cols = nl.localization.expand_indices(index.balls[x], a.m)
+        norm = float(nl.top_singular_values(a.data.T[cols]))
+        if norm > best[1]:
+            best = (int(x), norm)
     return best
 
 
@@ -256,3 +276,22 @@ def literal_subset_vectors(subsets, n: int, m: int):
         [[len(a & b) for b in subsets] for a in subsets], dtype=np.int64
     )
     return vectors, (counts, sizes.pop())
+
+
+def count_factorizations(monkeypatch) -> dict:
+    """Patch ``np.linalg.eigvalsh`` and ``eigh`` to count the matrices they
+    factorize; returns the live ``{"eigvalsh": n, "eigh": n}`` counts."""
+    counts = {"eigvalsh": 0, "eigh": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            counts[name] += math.prod(np.shape(a)[:-2])
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return counts

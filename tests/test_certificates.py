@@ -45,6 +45,23 @@ def test_subset_certificate_validation(c6):
             nl.SubsetCertificate(c6, radius, own)
 
 
+@pytest.mark.parametrize("radius", [-1, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("form", ["subset", "vector", "kernel"])
+def test_every_form_refuses_a_bad_radius(c6, form, radius):
+    # A NaN radius fails no `radius < 0` test, so each form tests
+    # `not radius >= 0`; otherwise a NaN vector certificate would give
+    # epsilon 3 and a NaN kernel would pass psd_ok.
+    tables = {
+        "subset": (nl.SubsetCertificate, np.eye(6, dtype=bool)[:, :, None]),
+        "vector": (nl.VectorCertificate, np.eye(6, dtype=complex)[:, :, None]),
+        "kernel": (nl.KernelCertificate, np.eye(6, dtype=complex)),
+    }
+    make, table = tables[form]
+    assert make(c6, 0, table).radius == 0
+    with pytest.raises(nl.InvalidParams):
+        make(c6, radius, table)
+
+
 def test_subset_document_validation(c6):
     def doc(subsets):
         return {"form": "subset", "radius": 1, "m": 1, "subsets": subsets,

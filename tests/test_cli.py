@@ -143,6 +143,19 @@ def test_space_gen_past_the_entry_bound_exits_3(tmp_path):
     assert not out.exists()
 
 
+def test_space_gen_huge_tree_depth_exits_3(tmp_path, capsys):
+    # 2 ** 8001 - 1 points: their count squared has over 4,300 digits,
+    # more than Python turns into a string, so no message may print it.
+    out = tmp_path / "tree.json"
+    argv = ["space", "gen", "--kind", "binary-tree", "--depth", "8000",
+            "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "exceed 67108864" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 _PAIR = {"labels": ["0", "1"], "dist": [[0, 1], [1, 0]]}
 
 

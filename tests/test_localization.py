@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import normloc as nl
 from helpers import (
+    count_factorizations,
     dense_norm,
+    literal_column_search,
     literal_refine_ratio,
     naive_column_norm,
     naive_compression_norm,
@@ -155,6 +157,115 @@ def test_localization_report_json_fields(c6):
     assert doc["space"] == "cycle_6"
     assert abs(doc["sigma_sq"] - math.sqrt(2) / 2) < 1e-12
     assert abs(doc["sigma_col"] - math.sqrt(3) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("space", ["c60", "grid8", "btree6"])
+@pytest.mark.parametrize("radius", [0, 1, 2, 5])
+def test_column_search_matches_full_row_oracle(request, space, radius):
+    """The column search reads only the rows its columns reach, padded
+    with zero rows; every report field and witness is the full-row
+    route's, bit for bit."""
+    sp = request.getfixturevalue(space)
+    operators = [
+        nl.random_banded(sp, 1, seed=7),
+        nl.random_banded(sp, 2, seed=8),
+        nl.random_banded(sp, 1, seed=9, m=2),
+        # point-diagonal, so each ball's columns reach only its own rows
+        nl.random_banded(sp, 0, seed=4, m=2),
+        nl.adjacency(sp),
+        nl.identity(sp),
+    ]
+    for a in operators:
+        center, norm = literal_column_search(a, radius)
+        witness = nl.best_localized_vector(a, radius)
+        assert (witness.center, witness.column_norm) == (center, norm)
+        rep = nl.localization_report(a, radius)
+        norm_a = nl.operator_norm(a)
+        sq = nl.compress(a, radius).norm()
+        wide = nl.compress(a, radius + nl.propagation(a)).norm()
+        assert rep.operator_norm == norm_a
+        assert (rep.witness_center, rep.column_norm) == (center, norm)
+        assert (rep.compressed_norm, rep.wide_norm) == (sq, wide)
+        assert rep.sigma_sq == sq / norm_a
+        assert rep.sigma_col == norm / norm_a
+        assert rep.sigma_sq_wide == wide / norm_a
+
+
+def test_column_search_reads_every_row_the_support_reaches():
+    # d(0, 2) = 5 breaks the triangle inequality.  Column 1 lies in the
+    # maximal ball N(0, 1) = {0, 1, 3} and reaches row 2, which is outside
+    # N(0, S + R) = N(0, 2): the rows come from the support, not from that
+    # ball, so center 0 ties center 1 and wins.
+    dist = np.array([[0, 1, 5, 1], [1, 0, 1, 5], [5, 1, 0, 5], [1, 5, 5, 0]])
+    broken = nl.FiniteMetricSpace(("0", "1", "2", "3"), dist)
+    assert nl.validate_metric(broken)
+    data = np.zeros((4, 4))
+    data[2, 1] = 3.0
+    a = nl.BandedOperator(broken, 1, data)
+    assert nl.propagation(a) == 1
+    assert nl.ball_index(broken, 1).maximal.tolist() == [0, 1]
+    assert literal_column_search(a, 1) == (0, 3.0)
+    witness = nl.best_localized_vector(a, 1)
+    assert (witness.center, witness.column_norm) == (0, 3.0)
+    rep = nl.localization_report(a, 1)
+    assert (rep.witness_center, rep.column_norm) == (0, 3.0)
+
+
+def test_whole_space_wide_ball_reuses_the_operator_norm(btree6):
+    # At S + R = 6 the ball around the root is the whole depth-6 tree.
+    for a in (nl.adjacency(btree6), nl.random_banded(btree6, 1, seed=2)):
+        rep = nl.localization_report(a, 5)
+        assert rep.wide_norm == rep.operator_norm
+        assert rep.sigma_sq_wide == 1.0
+
+
+def test_whole_space_wide_ball_past_dense_limit_keeps_compression():
+    # Side 520 takes the power route for the operator norm, whose value
+    # differs from the dense one, so the wide norm is the compression's.
+    c260 = nl.generate_family("cycle", {"n": 260})
+    a = nl.random_banded(c260, 1, seed=0, m=2)
+    assert a.data.shape[0] > nl.operators.DENSE_NORM_LIMIT
+    rep = nl.localization_report(a, 130)
+    assert rep.wide_norm == nl.compress(a, 131).norm()
+    assert abs(rep.wide_norm - rep.operator_norm) <= 1e-8 * rep.operator_norm
+
+
+def test_report_factorization_counts(c60, btree6, monkeypatch):
+    """A report factorizes each distinct block once and no singular vector.
+
+    On the 60-cycle at S = 10 the adjacency blocks repeat: 21 distinct
+    blocks at S, 23 column restrictions and 23 blocks at S + 1, and the
+    norm.  Each column restriction reads the 23 rows its 21 columns reach.
+    On the depth-6 tree at S = 5 the wide ball is the whole space.
+    """
+    stacks = []
+    stack_values = nl.localization._top_values
+
+    def recorded(stack, rows):
+        stacks.append(stack.shape)
+        return stack_values(stack, rows)
+
+    monkeypatch.setattr(nl.localization, "_top_values", recorded)
+    counts = count_factorizations(monkeypatch)
+    nl.localization_report(nl.adjacency(c60), 10)
+    assert counts == {"eigvalsh": 68, "eigh": 0}
+    # blocks at S, column restrictions, blocks at S + 1
+    assert stacks == [(60, 21, 21), (60, 21, 23), (60, 23, 23)]
+    counts.update(eigvalsh=0, eigh=0)
+    nl.localization_report(nl.adjacency(btree6), 5)
+    assert counts == {"eigvalsh": 7, "eigh": 0}
+
+
+def test_repeated_reports_make_no_page_faults(c60):
+    """Stacks live in scratch arrays each thread keeps, so after a first
+    report a report of the same sizes allocates no large array.  Fresh
+    arrays made about 950 minor page faults per report here."""
+    resource = pytest.importorskip("resource")
+    nl.localization_report(nl.random_banded(c60, 1, seed=3), 10)
+    a = nl.random_banded(c60, 1, seed=4)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    nl.localization_report(a, 10)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
 @settings(max_examples=25, deadline=None)

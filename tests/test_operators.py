@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import normloc as nl
 from helpers import (
     block_support,
+    count_factorizations,
     dense_norm,
     literal_random_banded,
     matrix_unit,
@@ -240,6 +242,96 @@ def test_top_singular_values_match_oracle(c6):
     assert nl.top_singular_values(np.zeros((4, 0, 3))).tolist() == [0.0] * 4
 
 
+def test_repeated_matrices_are_factorized_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    distinct = _complex_stack(rng, (3, 4, 6))
+    stack = np.stack([distinct[0], distinct[1], distinct[0], distinct[2],
+                      distinct[0], distinct[1]])
+    one_by_one = [nl.top_singular_values(matrix) for matrix in stack]
+    counts = count_factorizations(monkeypatch)
+    got = nl.top_singular_values(stack.reshape(2, 3, 4, 6))
+    assert counts["eigvalsh"] == 3
+    assert got.shape == (2, 3)
+    assert got.ravel().tobytes() == np.array(one_by_one).tobytes()
+
+
+def test_signed_zeros_are_not_repeats(monkeypatch):
+    # -0.0 and 0.0 share a fingerprint but not their bits, so the bitwise
+    # check refuses the repeat and every matrix is factorized.
+    rng = np.random.default_rng(8)
+    matrix = _complex_stack(rng, (4, 6))
+    matrix[0] = 0.0
+    negzero = matrix.copy()
+    negzero[0] = complex(-0.0, 0.0)
+    stack = np.stack([matrix, negzero, matrix])
+    counts = count_factorizations(monkeypatch)
+    got = nl.top_singular_values(stack)
+    assert counts["eigvalsh"] == 3
+    assert got.tobytes() == np.array(
+        [nl.top_singular_values(m) for m in stack]
+    ).tobytes()
+
+
+def test_fingerprint_collision_factorizes_every_matrix(monkeypatch):
+    # Zero weights give every matrix one fingerprint; the bitwise check
+    # then finds the collision and the whole stack is factorized.
+    monkeypatch.setattr(
+        nl.operators, "_fingerprint_weights", lambda size: np.zeros(size)
+    )
+    rng = np.random.default_rng(6)
+    distinct = _complex_stack(rng, (2, 3, 3))
+    stack = np.stack([distinct[0], distinct[1], distinct[0]])
+    counts = count_factorizations(monkeypatch)
+    got = nl.top_singular_values(stack)
+    assert counts["eigvalsh"] == 3
+    assert got[0] == got[2] == nl.top_singular_values(distinct[0])
+    assert got[1] == nl.top_singular_values(distinct[1])
+
+
+def test_values_outlive_the_scratch_arrays():
+    # Stacks are scaled and multiplied in arrays each thread keeps; the
+    # values returned are fresh, so a later call leaves them alone.
+    rng = np.random.default_rng(9)
+    first, second = _complex_stack(rng, (2, 120, 8, 9))
+    values = nl.top_singular_values(first)
+    kept = values.copy()
+    nl.top_singular_values(second)
+    assert values.tobytes() == kept.tobytes()
+
+
+def test_threads_keep_their_own_scratch():
+    # 95 KB each, so every thread works in arrays it keeps
+    stacks = [_complex_stack(np.random.default_rng(s), (60, 9, 11))
+              for s in range(6)]
+    expected = [nl.top_singular_values(s).tobytes() for s in stacks]
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(3):
+            got = pool.map(lambda s: nl.top_singular_values(s).tobytes(), stacks)
+            assert list(got) == expected
+
+
+@pytest.mark.parametrize("sizes", [(0, 0), (0, 1 << 30)], ids=["fresh", "kept"])
+def test_kept_and_fresh_arrays_give_the_same_bits(monkeypatch, sizes):
+    rng = np.random.default_rng(10)
+    stacks = [_complex_stack(rng, (7, 6, 5)), rng.standard_normal((4, 3, 8))]
+    expected = [nl.top_singular_values(s).tobytes() for s in stacks]
+    monkeypatch.setattr(nl.operators, "_SCRATCH_BYTES", sizes)
+    assert [nl.top_singular_values(s).tobytes() for s in stacks] == expected
+
+
+def test_real_stacks_keep_the_symmetric_product():
+    # A real array's conjugate is the array itself, and numpy multiplies
+    # an array by its own transpose with a symmetric product whose bits
+    # differ from those of the general one, so no conjugate copy is made.
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((30, 7, 9))
+    exponent = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+    scaled = stack * np.ldexp(1.0, -exponent)[:, None, None]
+    gram = scaled @ np.swapaxes(scaled.conj(), -1, -2)
+    expected = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[:, -1]), exponent)
+    assert nl.top_singular_values(stack).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
 def test_norms_scale_across_the_float_range(scale):
     # Without scaling inside the kernel, the Gram of these operators
@@ -276,6 +368,10 @@ def test_non_finite_entries_raise_data_error(c6, bad):
     stack[1, 2, 0] = bad
     with pytest.raises(nl.DataError):
         nl.top_singular_values(stack)
+    # a repeated bad matrix is one matrix factorized once, and still raises
+    for repeated in (stack[[1, 1]], stack[[0, 1, 0, 1]]):
+        with pytest.raises(nl.DataError):
+            nl.top_singular_values(repeated)
     with pytest.raises(nl.DataError):
         nl.top_singular_pair(stack[1])
     data = nl.adjacency(c6).to_dense()

@@ -112,6 +112,12 @@ def test_generate_family_rejects_bad_params(kind, params):
         nl.generate_family(kind, params, seed=0)
 
 
+def test_huge_tree_depth_is_refused_before_its_point_count():
+    # 2 ** (depth + 1) is never formed, so this returns at once.
+    with pytest.raises(nl.DataError, match="exceed 67108864"):
+        nl.generate_family("binary_tree", {"depth": 10**8})
+
+
 def test_generate_family_rejects_non_integer_params():
     with pytest.raises(nl.FormatError):
         nl.generate_family("cycle", {"n": 5.5})
