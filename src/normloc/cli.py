@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -73,6 +74,19 @@ def _write_text(path: str, text: str) -> None:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise UsageError(message)
+
+
+def radius(text: str) -> float:
+    """The argparse type of every radius flag: a finite float.
+
+    Text that is no number is a usage error (exit 2).  A NaN or infinite
+    radius raises :class:`DataError` (exit 3): no ball, band or artifact
+    can be built from it, and JSON cannot write it.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise DataError(f"a radius must be a finite number, got {text!r}")
+    return value
 
 
 def _load_certificate(source: str, space, loc_radius):
@@ -249,7 +263,7 @@ def cmd_cert_check(args) -> int:
         print(f"kappa: {kappa}")
         print(f"band_deviation: {deficit!r}")
         print(f"epsilon: {epsilon!r}")
-        print(f"vacuous: {epsilon >= 1}")
+        print(f"vacuous: {not epsilon < 1}")
         if vector is not None and vector.exact_gram is not None:
             bound = duality.a_implies_onl_bound(vector, args.band_radius)
             print(f"epsilon_exact: {bound.epsilon_exact}")
@@ -376,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     onl_sub = p_onl.add_subparsers(dest="subcommand", required=True)
     p_prof = onl_sub.add_parser("profile", help="sampled worst-case profile")
     p_prof.add_argument("--space", required=True, help="space JSON path")
-    p_prof.add_argument("--band-radius", type=float, required=True)
-    p_prof.add_argument("--loc-radius", type=float, required=True)
+    p_prof.add_argument("--band-radius", type=radius, required=True)
+    p_prof.add_argument("--loc-radius", type=radius, required=True)
     p_prof.add_argument("--samples", type=int, default=50)
     p_prof.add_argument("--budget", type=int, default=200)
     p_prof.add_argument(
@@ -399,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = cert_sub.add_parser("build", help="construct a certificate")
     p_build.add_argument("--space", required=True)
     p_build.add_argument("--kind", required=True, choices=["ball", "tree-ray"])
-    p_build.add_argument("--radius", type=float, default=None)
+    p_build.add_argument("--radius", type=radius, default=None)
     p_build.add_argument("--length", type=int, default=None)
     p_build.add_argument("--root", type=int, default=0)
     p_build.add_argument(
@@ -411,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = cert_sub.add_parser("check", help="verify a certificate file")
     p_check.add_argument("--in", dest="input", required=True)
-    p_check.add_argument("--band-radius", type=float, default=None)
+    p_check.add_argument("--band-radius", type=radius, default=None)
     _add_common(p_check, with_tol=True)
     p_check.set_defaults(func=cmd_cert_check)
 
@@ -419,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     equiv_sub = p_equiv.add_subparsers(dest="subcommand", required=True)
     p_run = equiv_sub.add_parser("run", help="full equivalence experiment")
     p_run.add_argument("--space", required=True)
-    p_run.add_argument("--band-radius", type=float, required=True)
-    p_run.add_argument("--loc-radius", type=float, required=True)
+    p_run.add_argument("--band-radius", type=radius, required=True)
+    p_run.add_argument("--loc-radius", type=radius, required=True)
     p_run.add_argument(
         "--certificate",
         default="ball",
@@ -439,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     cb_sub = p_cb.add_subparsers(dest="subcommand", required=True)
     p_cbc = cb_sub.add_parser("check", help="compare amplified and scalar ratios")
     p_cbc.add_argument("--space", required=True)
-    p_cbc.add_argument("--band-radius", type=float, required=True)
-    p_cbc.add_argument("--loc-radius", type=float, required=True)
+    p_cbc.add_argument("--band-radius", type=radius, required=True)
+    p_cbc.add_argument("--loc-radius", type=radius, required=True)
     p_cbc.add_argument("--amplification", type=int, required=True)
     p_cbc.add_argument("--samples", type=int, default=100)
     p_cbc.add_argument(
@@ -464,8 +478,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        # Inside the try: the radius type refuses a non-finite radius with
+        # DataError while parsing.
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -115,7 +115,10 @@ class OnlBound:
     bitwise); the exact fields carry Fractions when the certificate kept
     its Gram matrix rational, and ``epsilon`` is then rounded from the
     exact value.  ``vacuous`` flags epsilon >= 1, where the bound says
-    nothing.
+    nothing, and a NaN epsilon.  ``_first_sample`` keeps the first sampled
+    operator as (seed, operator, maximal-ball block norms at the
+    certificate radius) for :func:`equivalence_experiment`; no output
+    reads it.
     """
 
     space_name: str
@@ -129,6 +132,7 @@ class OnlBound:
     vacuous: bool
     sample_checks: tuple
     all_verified: bool | None
+    _first_sample: tuple | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -161,7 +165,7 @@ def a_implies_onl_bound(
     compressed norm is at least (1 - epsilon) * ||a||, each with additive
     ``BOUND_CHECK_SLACK`` for the floating-point norms.
     """
-    if band_radius < 0:
+    if not band_radius >= 0:
         raise InvalidRadii(f"band radius must be >= 0, got {band_radius}")
     space = certificate.space
     gram = certificate.gram
@@ -179,6 +183,7 @@ def a_implies_onl_bound(
         epsilon = float(epsilon_exact)
     checks = []
     all_verified: bool | None = None
+    first = None
     if samples > 0:
         rng = np.random.default_rng(seed)
         child_seeds = rng.integers(0, 2**63 - 1, size=samples)
@@ -187,7 +192,10 @@ def a_implies_onl_bound(
             norm_a = operator_norm(a)
             compressed = compress(a, certificate.radius)
             moved = operator_norm(a - phi_apply(certificate, compressed))
-            loc = compressed.norm()
+            norms = compressed.maximal_norms()
+            if first is None:
+                first = (s, a, norms)
+            loc = float(max(norms, default=0.0))
             multiplier_ok = moved <= epsilon * norm_a + BOUND_CHECK_SLACK
             lower_ok = (1.0 - epsilon) * norm_a <= loc + BOUND_CHECK_SLACK
             checks.append(
@@ -212,9 +220,10 @@ def a_implies_onl_bound(
         gram_deficit_exact=deficit_exact,
         epsilon=epsilon,
         epsilon_exact=epsilon_exact,
-        vacuous=bool(epsilon >= 1),
+        vacuous=not epsilon < 1,
         sample_checks=tuple(checks),
         all_verified=all_verified,
+        _first_sample=first,
     )
 
 
@@ -456,6 +465,13 @@ def equivalence_experiment(
     experiment always completes; when the certified bound is vacuous or the
     radii leave nothing to localize, it says so in ``warnings`` instead of
     failing.
+
+    The bound and the search draw their samples' seeds from one
+    ``default_rng(seed)`` stream, so the search's first operator is the
+    bound's first one, at the same band and localization radii.  The bound
+    hands that operator, whose norm it keeps, and its block norms to the
+    search, which takes them when the seeds and spaces match, so they are
+    computed once.
     """
     warnings = []
     origin = certificate if isinstance(certificate, str) else "custom"
@@ -494,6 +510,7 @@ def equivalence_experiment(
             search_budget=search_budget,
             certificate=cert,
             probes=tuple(probes),
+            _first=bound._first_sample,
         )
     elif profile_samples > 0:
         warnings.append(

@@ -56,6 +56,11 @@ CHAIN_TOL = 1e-10
 # regroups the sum of a Gram longer than one block.  The column search
 # reads only the rows its columns reach up to this operator side.
 _GRAM_BLOCK = 128
+# A column restriction whose norm bound falls below the largest block norm
+# by more than this relative gap is not factorized.  The gap is far above
+# the relative error of the eigvalsh norms compared (about 1e-15 at these
+# sizes), so a pruned center is strictly below the winner.
+_PRUNE_SLACK = 1e-12
 
 
 def expand_indices(points: np.ndarray, m: int) -> np.ndarray:
@@ -189,44 +194,81 @@ def compress(a: BandedOperator, radius: float) -> BlockCompression:
     )
 
 
-def _column_search(a: BandedOperator, index: BallIndex) -> tuple[int, float]:
+def _reached_rows(a: BandedOperator, index: BallIndex) -> np.ndarray:
+    """(maximal balls, n) table of the rows that the operator's support
+    links to the columns of each maximal ball of ``index``."""
+    within = a.space.dist[index.maximal] <= index.radius
+    # Counts below 2^24, so exact in float32.
+    return within.astype(np.float32) @ a.support.T.astype(np.float32) > 0
+
+
+def _column_search(
+    a: BandedOperator, index: BallIndex, reached: np.ndarray, groups: tuple
+) -> tuple[int, float]:
     """(center, norm) of the maximal ball whose columns carry the most norm.
 
-    The columns of a ball are nonzero only in the rows that the operator's
-    support links to the ball; under propagation R these lie in the ball
-    of radius S + R.  Each column restriction is gathered over those rows
-    only, padded with zero rows to the widest of its ball-size group, so
-    each group is still one stack.  Zero rows add nothing to the ball-side
-    Gram ``M M^H``, which is kept whenever the ball is not the whole
-    space, so the norms are those of the full columns, bit for bit.  Full
-    rows are read where that would not hold: for one-column balls, whose
-    Gram is a dot product summed in SIMD lanes by position, and past
-    ``_GRAM_BLOCK`` rows.  Ties go to the smallest center.  Raises
+    The columns of a ball are nonzero only in the ``reached`` rows
+    (:func:`_reached_rows`) that the operator's support links to the ball;
+    under propagation R these lie in the ball of radius S + R.  Each
+    column restriction is gathered over those rows only, padded with zero
+    rows to the widest of its ball-size group, so each group is still one
+    stack.  Zero rows add nothing to the ball-side Gram ``M M^H``, which
+    is kept whenever the ball is not the whole space, so the norms are
+    those of the full columns, bit for bit.  Full rows are read where that
+    would not hold: for one-column balls, whose Gram is a dot product
+    summed in SIMD lanes by position, for a ball that is the whole space,
+    whose Gram ``M^H M`` is on the row side, and past ``_GRAM_BLOCK``
+    rows.  Only the maximal centers in ``groups`` (:func:`size_groups`)
+    are searched; the caller passes every center that can win
+    (:func:`_column_bounds`).  Ties go to the smallest center.  Raises
     :class:`ZeroOperator` when the operator kills every ball.
     """
     n, m = a.n, a.m
     side = n * m
     source = a.data
     if side <= _GRAM_BLOCK:
-        # Counts below 2^24, so exact in float32.
-        within = a.space.dist[index.maximal] <= index.radius
-        reached = within.astype(np.float32) @ a.support.T.astype(np.float32) > 0
         source = np.concatenate([source, np.zeros((m, side))])
 
     def values_of(xs):
         cols = _ball_table(index, xs, m)
-        if side > _GRAM_BLOCK or cols.shape[1] == 1:
+        if side > _GRAM_BLOCK or cols.shape[1] in (1, side):
             rows = np.arange(side)[None, :]
         else:
             rows = _padded_rows(reached[np.searchsorted(index.maximal, xs)], m)
         stack = _gather(source, rows[:, None, :], cols[:, :, None])
         return _top_values(stack, rows=cols.shape[1] < side)
 
-    centers, norms = _by_center(index.groups, values_of)
+    centers, norms = _by_center(groups, values_of)
     if not norms.size or norms.max() == 0.0:
         raise ZeroOperator("operator vanishes on every ball")
     best = int(np.argmax(norms))
     return int(centers[best]), float(norms[best])
+
+
+def _column_bounds(
+    a: BandedOperator,
+    index: BallIndex,
+    reached: np.ndarray,
+    wide: BallIndex,
+    wide_norms: np.ndarray,
+) -> np.ndarray:
+    """An upper bound on the column norm of each maximal ball of ``index``.
+
+    The columns of ball x are zero outside its ``reached`` rows, so their
+    restriction is a submatrix of the block of any ball h of ``wide`` that
+    holds both ball x and those rows, and its norm is at most h's block
+    norm, ``wide_norms`` (as ``wide.maximal``).  The bound is the
+    smallest such block norm, or inf where no maximal ball of ``wide``
+    holds them.  Only set inclusion is used, so a distance table that
+    breaks the triangle inequality cannot make the bound wrong.
+    """
+    dist = a.space.dist
+    need = (dist[index.maximal] <= index.radius) | reached
+    hosts = dist[wide.maximal] <= wide.radius
+    # Counts below 2^24, so exact in float32.
+    inside = need.astype(np.float32) @ hosts.T.astype(np.float32)
+    holds = inside == need.sum(axis=1)[:, None]
+    return np.where(holds, wide_norms, np.inf).min(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +297,9 @@ def best_localized_vector(a: BandedOperator, radius: float) -> ColumnWitness:
     operator kills every ball, which happens exactly when it is zero.
     """
     index = ball_index(a.space, radius)
-    center, norm = _column_search(a, index)
+    center, norm = _column_search(
+        a, index, _reached_rows(a, index), index.groups
+    )
     cols = expand_indices(index.balls[center], a.m)
     vec = np.zeros(a.n * a.m, dtype=np.complex128)
     vec[cols] = top_singular_pair(a.data[:, cols])[1]
@@ -328,27 +372,41 @@ def localization_report(a: BandedOperator, radius: float) -> LocalizationReport:
     propagation of the operator.  The chain inequalities are verified with
     ``CHAIN_TOL`` slack and the worst violation is recorded, not raised.
     The column norm and witness center come from the column search behind
-    :func:`best_localized_vector`, without the winner's vector.  When a
-    ball at the widened radius is the whole space and the operator norm
-    took the dense route, that norm is the wide norm: the one block is the
-    same matrix.
+    :func:`best_localized_vector`, without the winner's vector, and that
+    search factorizes only the columns that can win: see
+    :func:`_report_and_norms`.  When a ball at the widened radius is the
+    whole space and the operator norm took the dense route, that norm is
+    the wide norm: the one block is the same matrix.
     """
     return _report_and_norms(a, radius)[0]
 
 
 def _report_and_norms(
-    a: BandedOperator, radius: float
+    a: BandedOperator, radius: float, norms: np.ndarray | None = None
 ) -> tuple[LocalizationReport, np.ndarray]:
-    """The report and the norms of its maximal-ball blocks at ``radius``."""
+    """The report and the norms of its maximal-ball blocks at ``radius``.
+
+    ``norms``, when given, are those block norms already computed
+    (:meth:`BlockCompression.maximal_norms` of ``compress(a, radius)``).
+    The report takes every maximal block norm at S, then every maximal
+    block norm at S + R, then the column search.  The largest column norm
+    is at least ``sq``, the largest block norm at S, and each column norm
+    is at most its bound from the blocks at S + R
+    (:func:`_column_bounds`), so a center whose bound is below
+    ``sq * (1 - _PRUNE_SLACK)`` cannot win and is not factorized.  No
+    center is pruned where the wide ball is the whole space.
+    """
     norm_a = operator_norm(a)
     if norm_a == 0.0:
         raise ZeroOperator("cannot profile the zero operator")
     prop = propagation(a)
-    comp = compress(a, radius)
-    norms = comp.maximal_norms()
+    index = ball_index(a.space, radius)
+    if norms is None:
+        norms = compress(a, radius).maximal_norms()
     sq = float(max(norms, default=0.0))
-    center, col = _column_search(a, comp.index)
+    reached = _reached_rows(a, index)
     reach = ball_index(a.space, radius + prop)
+    groups = index.groups
     if (
         len(reach.balls[reach.maximal[0]]) == a.n
         and a.data.shape[0] <= DENSE_NORM_LIMIT
@@ -357,7 +415,12 @@ def _report_and_norms(
         # matrix that operator_norm factorized.
         wide = norm_a
     else:
-        wide = compress(a, radius + prop).norm()
+        wide_norms = compress(a, radius + prop).maximal_norms()
+        wide = float(max(wide_norms, default=0.0))
+        bounds = _column_bounds(a, index, reached, reach, wide_norms)
+        can_win = bounds >= sq * (1 - _PRUNE_SLACK)
+        groups = size_groups(index.balls, index.maximal[can_win])
+    center, col = _column_search(a, index, reached, groups)
     sigma_sq = sq / norm_a
     sigma_col = col / norm_a
     sigma_wide = wide / norm_a
@@ -805,6 +868,8 @@ def onl_profile(
     search_budget: int = 200,
     certificate=None,
     probes: tuple = (),
+    *,
+    _first: tuple | None = None,
 ) -> OnlProfile:
     """Search for the worst localization ratio of band-limited operators.
 
@@ -813,6 +878,12 @@ def onl_profile(
     are (name, operator) pairs profiled alongside.  A vector certificate
     adds the guaranteed lower bound from its Schur-multiplier argument.
     Requires 0 < band radius <= localization radius.
+
+    ``_first`` is a sample the caller has measured already, as (seed,
+    operator, maximal-ball block norms at ``loc_radius``), drawn at
+    ``band_radius`` on ``space``.  A sample whose seed it matches takes
+    that operator and its norms instead of drawing and factorizing them
+    again (:func:`~normloc.duality.equivalence_experiment`).
     """
     if not 0 < band_radius <= loc_radius:
         raise InvalidRadii(
@@ -827,9 +898,12 @@ def onl_profile(
     ops = []
     block_norms = []
     for s in sample_seeds:
-        op = random_banded(space, band_radius, int(s))
+        if _first is not None and _first[0] == s and _first[1].space is space:
+            _, op, norms = _first
+        else:
+            op, norms = random_banded(space, band_radius, int(s)), None
         ops.append(op)
-        report, norms = _report_and_norms(op, loc_radius)
+        report, norms = _report_and_norms(op, loc_radius, norms)
         reports.append(report)
         block_norms.append(norms)
     ratios = np.array([r.sigma_sq for r in reports])

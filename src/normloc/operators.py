@@ -85,6 +85,13 @@ class BandedOperator:
         support.setflags(write=False)
         return support
 
+    @cached_property
+    def _norm(self) -> float:
+        """The ``auto`` route of :func:`operator_norm`, computed once: the
+        data is read-only, so the value cannot go stale."""
+        dense = self.data.shape[0] <= DENSE_NORM_LIMIT
+        return _norm_by(self.data, "dense" if dense else "power")
+
     @property
     def n(self) -> int:
         return self.space.n
@@ -172,7 +179,7 @@ def random_banded(
     Entries are drawn in row-major order over the band positions, real parts
     first, so a fixed seed fully determines the operator.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise InvalidParams(f"band radius must be nonnegative, got {radius}")
     n = space.n
     ys, zs = np.nonzero(space.dist <= radius)
@@ -424,13 +431,18 @@ def operator_norm(a: BandedOperator, method: str = "auto") -> float:
 
     ``dense`` takes :func:`top_singular_values`; ``power`` takes the value
     of the block power iteration behind :func:`top_singular_pair`.
-    ``auto`` picks ``dense`` up to side ``DENSE_NORM_LIMIT``.
+    ``auto`` picks ``dense`` up to side ``DENSE_NORM_LIMIT``, and the
+    operator keeps that value, so each operator computes it once.
     """
     if method == "auto":
-        method = "dense" if a.data.shape[0] <= DENSE_NORM_LIMIT else "power"
+        return a._norm
+    return _norm_by(a.data, method)
+
+
+def _norm_by(data: np.ndarray, method: str) -> float:
     if method == "dense":
-        return float(top_singular_values(a.data))
+        return float(top_singular_values(data))
     if method != "power":
         raise InvalidParams(f"unknown norm method {method!r}")
-    return _top_pair(a.data, iterate=True)[0]
+    return _top_pair(data, iterate=True)[0]
 

@@ -119,7 +119,7 @@ def check_point(space: FiniteMetricSpace, x: int) -> int:
 def ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:
     """Indices of the closed ball around ``x``, in increasing order."""
     x = check_point(space, x)
-    if radius < 0:
+    if not radius >= 0:
         raise InvalidParams(f"ball radius must be nonnegative, got {radius}")
     return np.flatnonzero(space.dist[x] <= radius)
 
@@ -187,7 +187,7 @@ def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
 
 def geometry_profile(space: FiniteMetricSpace, radius: float) -> GeometryProfile:
     """Ball sizes, their maximum, and the diameter at the given radius."""
-    if radius < 0:
+    if not radius >= 0:
         raise InvalidParams(f"radius must be nonnegative, got {radius}")
     sizes = (space.dist <= radius).sum(axis=1)
     return GeometryProfile(

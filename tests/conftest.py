@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import normloc as nl
@@ -31,3 +32,14 @@ def grid8():
 @pytest.fixture(scope="session")
 def btree6():
     return nl.generate_family("binary_tree", {"depth": 6})
+
+
+@pytest.fixture(scope="session")
+def broken16():
+    """A seeded symmetric integer table on 16 points that breaks the
+    triangle inequality."""
+    table = np.random.default_rng(0).integers(1, 6, size=(16, 16))
+    table = np.triu(table, 1)
+    return nl.FiniteMetricSpace(
+        tuple(map(str, range(16))), table + table.T, name="broken16"
+    )

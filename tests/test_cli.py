@@ -325,6 +325,46 @@ def test_onl_profile_bad_radii_exit_3(tmp_path):
     ) == 3
 
 
+# Every radius flag of every command, with the other arguments valid.
+_RADIUS_FLAGS = [
+    ("onl profile --space {space} --samples 2 --seed 0 --out {out}",
+     {"--band-radius": "1", "--loc-radius": "2"}),
+    ("cert build --space {space} --kind ball --out {out}",
+     {"--radius": "2"}),
+    ("cert check --in {cert}", {"--band-radius": "1"}),
+    ("equiv run --space {space} --samples 2 --profile-samples 1 --seed 0 "
+     "--out {out}", {"--band-radius": "1", "--loc-radius": "2"}),
+    ("cb check --space {space} --amplification 2 --samples 1 --seed 0 "
+     "--out {out}", {"--band-radius": "1", "--loc-radius": "2"}),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in _RADIUS_FLAGS for flag in flags],
+    ids=lambda v: v.split()[0] if " " in v else v,
+)
+def test_non_finite_radius_flags_exit_3(tmp_path, capsys, command, flag, value):
+    space = _space_file(tmp_path, n=12)
+    cert = str(tmp_path / "cert.json")
+    assert main(["cert", "build", "--space", space, "--kind", "ball",
+                 "--radius", "2", "--out", cert]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    radii = dict(next(flags for c, flags in _RADIUS_FLAGS if c == command))
+    radii[flag] = value
+    argv = command.format(space=space, cert=cert, out=out).split()
+    # "--flag=-inf": argparse reads a separate "-inf" as an option
+    argv += [f"{name}={radius}" for name, radius in radii.items()]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"a radius must be a finite number, got '{value}'" in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.glob("out*")) == []
+
+
 def test_onl_profile_non_finite_distance_exit_3(tmp_path, capsys):
     # a NaN distance fails every ball test, so it must never reach a verdict
     path = tmp_path / "nan.json"

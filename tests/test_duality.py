@@ -7,6 +7,7 @@ import pytest
 import normloc as nl
 from helpers import (
     ball_overlap,
+    count_factorizations,
     dense_norm,
     literal_kernel_from_cp_map,
     literal_schur_multiply,
@@ -70,6 +71,30 @@ def test_onl_bound_vacuous_on_small_cycle(c6):
     assert bound.kappa == 3
     assert bound.epsilon_exact == Fraction(1, 1)
     assert bound.vacuous
+
+
+def test_onl_bound_nan_epsilon_is_vacuous(c60, monkeypatch):
+    # A NaN epsilon certifies nothing, so it must read as vacuous.
+    monkeypatch.setattr(nl.duality, "schur_test_kappa", lambda *_: math.nan)
+    bound = nl.a_implies_onl_bound(_ball_cert(c60, 10), 1)
+    assert math.isnan(bound.epsilon)
+    assert bound.vacuous is True
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda sp: nl.a_implies_onl_bound(_ball_cert(sp, 1), math.nan),
+         nl.InvalidRadii),
+        (lambda sp: nl.random_banded(sp, math.nan, seed=0), nl.InvalidParams),
+        (lambda sp: nl.ball(sp, 0, math.nan), nl.InvalidParams),
+        (lambda sp: nl.geometry_profile(sp, math.nan), nl.InvalidParams),
+    ],
+    ids=["bound", "random-banded", "ball", "geometry-profile"],
+)
+def test_nan_radius_is_refused(c6, call, error):
+    with pytest.raises(error, match="nan"):
+        call(c6)
 
 
 def test_onl_bound_exact_epsilon(c60):
@@ -222,6 +247,35 @@ def test_equivalence_experiment_ball(c60):
     row = rep.csv_row()
     assert len(row) == len(nl.duality.EQUIV_CSV_HEADER)
     assert row[0] == "cycle_60" and row[4] == 3
+
+
+def test_equivalence_experiment_measures_the_first_sample_once(
+    c60, monkeypatch
+):
+    # The bound's first operator is the search's first one: seed 7 gives
+    # both the child seed 5765488047046174020.  Run apart, bound, search
+    # and the kernel check factorize 61 matrices more than the experiment:
+    # that operator's norm and its 60 blocks at S = 10.
+    cert = _ball_cert(c60, 10)
+    probes = (("adjacency", nl.adjacency(c60)),)
+    counts = count_factorizations(monkeypatch)
+    rep = nl.equivalence_experiment(
+        c60, 1, 10, samples=2, seed=7, profile_samples=1, search_budget=4
+    )
+    together = counts["eigvalsh"]
+    counts.update(eigvalsh=0)
+    bound = nl.a_implies_onl_bound(cert, 1, samples=2, seed=7)
+    profile = nl.onl_profile(
+        c60, 1, 10, samples=1, seed=7, search_budget=4, certificate=cert,
+        probes=probes,
+    )
+    nl.kernel_checks(nl.kernel_from_cp_map(cert))
+    assert counts["eigvalsh"] - together == 61
+    assert counts["eigh"] == 0
+    assert bound.sample_checks[0]["seed"] == profile.sample_seeds[0]
+    assert profile.sample_seeds == (5765488047046174020,)
+    assert rep.profile.to_json() == profile.to_json()
+    assert rep.bound.to_json() == bound.to_json()
 
 
 def test_equivalence_experiment_vacuous_still_completes(c6):

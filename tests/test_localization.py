@@ -159,17 +159,20 @@ def test_localization_report_json_fields(c6):
     assert abs(doc["sigma_col"] - math.sqrt(3) / 2) < 1e-12
 
 
-@pytest.mark.parametrize("space", ["c60", "grid8", "btree6"])
+@pytest.mark.parametrize("space", ["c60", "grid8", "btree6", "broken16"])
 @pytest.mark.parametrize("radius", [0, 1, 2, 5])
 def test_column_search_matches_full_row_oracle(request, space, radius):
     """The column search reads only the rows its columns reach, padded
-    with zero rows; every report field and witness is the full-row
-    route's, bit for bit."""
+    with zero rows, and the report's search skips the columns its bounds
+    rule out; every report field and witness is the full-row route's over
+    every maximal ball, bit for bit.  ``broken16`` breaks the triangle
+    inequality."""
     sp = request.getfixturevalue(space)
     operators = [
         nl.random_banded(sp, 1, seed=7),
         nl.random_banded(sp, 2, seed=8),
         nl.random_banded(sp, 1, seed=9, m=2),
+        nl.random_banded(sp, 2, seed=10, m=2),
         # point-diagonal, so each ball's columns reach only its own rows
         nl.random_banded(sp, 0, seed=4, m=2),
         nl.adjacency(sp),
@@ -211,6 +214,57 @@ def test_column_search_reads_every_row_the_support_reaches():
     assert (rep.witness_center, rep.column_norm) == (0, 3.0)
 
 
+def test_whole_space_ball_with_a_zero_row_matches_oracle():
+    # The one ball at radius 8 is the whole 9-path, whose Gram M^H M is on
+    # the row side, so dropping the zero row would regroup its sums.
+    p9 = nl.generate_family("path", {"n": 9})
+    for seed in range(9):
+        data = nl.random_banded(p9, 2, seed=seed).to_dense()
+        data[seed] = 0
+        a = nl.BandedOperator(p9, 1, data)
+        witness = nl.best_localized_vector(a, 8)
+        assert (witness.center, witness.column_norm) == literal_column_search(a, 8)
+
+
+def test_column_bounds_hold_without_the_triangle_inequality():
+    # The space of test_column_search_reads_every_row_the_support_reaches.
+    # Column 1 of ball N(0, 1) = {0, 1, 3}
+    # reaches row 2, which no maximal 2-ball holds together with that
+    # ball, so center 0 gets no bound.  A bound read from the 2-ball
+    # around 0, {0, 1, 3}, would be 0 and would prune the winner.
+    dist = np.array([[0, 1, 5, 1], [1, 0, 1, 5], [5, 1, 0, 5], [1, 5, 5, 0]])
+    broken = nl.FiniteMetricSpace(("0", "1", "2", "3"), dist)
+    data = np.zeros((4, 4))
+    data[2, 1] = 3.0
+    a = nl.BandedOperator(broken, 1, data)
+    index, wide = nl.ball_index(broken, 1), nl.ball_index(broken, 2)
+    assert wide.maximal.tolist() == [0, 1]
+    wide_norms = nl.compress(a, 2).maximal_norms()
+    assert wide_norms.tolist() == [0.0, 3.0]
+    reached = nl.localization._reached_rows(a, index)
+    bounds = nl.localization._column_bounds(a, index, reached, wide, wide_norms)
+    assert bounds.tolist() == [np.inf, 3.0]
+
+
+def test_report_factorizes_only_the_columns_that_can_win(c60, monkeypatch):
+    """Of the 60 column restrictions of a seeded operator on the 60-cycle
+    at S = 10, only those whose bound reaches the largest block norm at S
+    are factorized, in one stack."""
+    stacks = []
+    stack_values = nl.localization._top_values
+
+    def recorded(stack, rows):
+        stacks.append(stack.shape)
+        return stack_values(stack, rows)
+
+    monkeypatch.setattr(nl.localization, "_top_values", recorded)
+    a = nl.random_banded(c60, 1, seed=2)
+    rep = nl.localization_report(a, 10)
+    # blocks at S, blocks at S + 1, the 3 column restrictions left
+    assert stacks == [(60, 21, 21), (60, 23, 23), (3, 21, 23)]
+    assert (rep.witness_center, rep.column_norm) == literal_column_search(a, 10)
+
+
 def test_whole_space_wide_ball_reuses_the_operator_norm(btree6):
     # At S + R = 6 the ball around the root is the whole depth-6 tree.
     for a in (nl.adjacency(btree6), nl.random_banded(btree6, 1, seed=2)):
@@ -234,9 +288,10 @@ def test_report_factorization_counts(c60, btree6, monkeypatch):
     """A report factorizes each distinct block once and no singular vector.
 
     On the 60-cycle at S = 10 the adjacency blocks repeat: 21 distinct
-    blocks at S, 23 column restrictions and 23 blocks at S + 1, and the
+    blocks at S, 23 blocks at S + 1, 23 column restrictions, and the
     norm.  Each column restriction reads the 23 rows its 21 columns reach.
-    On the depth-6 tree at S = 5 the wide ball is the whole space.
+    Every column bound ties, so none is pruned.  On the depth-6 tree at
+    S = 5 the wide ball is the whole space.
     """
     stacks = []
     stack_values = nl.localization._top_values
@@ -249,8 +304,8 @@ def test_report_factorization_counts(c60, btree6, monkeypatch):
     counts = count_factorizations(monkeypatch)
     nl.localization_report(nl.adjacency(c60), 10)
     assert counts == {"eigvalsh": 68, "eigh": 0}
-    # blocks at S, column restrictions, blocks at S + 1
-    assert stacks == [(60, 21, 21), (60, 21, 23), (60, 23, 23)]
+    # blocks at S, blocks at S + 1, column restrictions
+    assert stacks == [(60, 21, 21), (60, 23, 23), (60, 21, 23)]
     counts.update(eigvalsh=0, eigh=0)
     nl.localization_report(nl.adjacency(btree6), 5)
     assert counts == {"eigvalsh": 7, "eigh": 0}

@@ -172,6 +172,21 @@ def test_norm_zero_operator(c6):
     assert nl.operator_norm(z, method="power") == 0.0
 
 
+def test_operator_keeps_its_norm(c60, monkeypatch):
+    # The auto route is computed once per operator, with the dense route's
+    # bits, and the other routes are computed on every call.
+    a = nl.random_banded(c60, 1, seed=3)
+    counts = count_factorizations(monkeypatch)
+    norm = nl.operator_norm(a)
+    assert counts == {"eigvalsh": 1, "eigh": 0}
+    assert nl.operator_norm(a) == norm
+    assert counts == {"eigvalsh": 1, "eigh": 0}
+    assert nl.operator_norm(a, method="dense") == norm
+    assert counts == {"eigvalsh": 2, "eigh": 0}
+    with pytest.raises(AttributeError):
+        a._norm = 0.0
+
+
 def test_norm_unknown_method(c6):
     with pytest.raises(nl.InvalidParams):
         nl.operator_norm(nl.adjacency(c6), method="magic")
