@@ -17,7 +17,6 @@ from .certificates import (
     kernel_deviation,
     subset_to_vector,
     tree_ray_certificate,
-    vector_to_kernel,
 )
 from .duality import (
     CbNormReport,

@@ -4,8 +4,9 @@ A certificate at radius S assigns data to every point x that is supported in
 the closed ball of radius S around x.  The three forms, in increasing
 generality: finite subsets of ball-times-slots, unit vectors supported in
 the ball, and positive-definite kernels of finite propagation.  Subset
-certificates convert to vector ones (normalized indicators), vector ones to
-kernels (their Gram matrix).
+certificates convert to vector ones (normalized indicators); a vector one
+becomes a kernel, its Gram matrix at its measured propagation, through the
+multiplier it induces (:func:`normloc.duality.kernel_from_cp_map`).
 
 When the vectors are normalized indicators of sets of one size, as for
 equal-size subsets, the Gram matrix consists of rationals
@@ -300,16 +301,6 @@ def named_certificate(
             )
         return subset_to_vector(tree_ray_certificate(space, int(loc_radius)))
     raise InvalidParams(f"unknown certificate source {source!r}")
-
-
-def vector_to_kernel(cert: VectorCertificate) -> KernelCertificate:
-    """Gram kernel of a vector certificate; propagation at most 2 * radius."""
-    return KernelCertificate(
-        space=cert.space,
-        radius=2 * cert.radius,
-        table=cert.gram,
-        note="gram of vector certificate",
-    )
 
 
 def kernel_deviation(cert: KernelCertificate, radius: float) -> float:

@@ -31,9 +31,7 @@ from .certificates import (
     KernelCertificate,
     VectorCertificate,
     kernel_checks,
-    kernel_deviation,
     named_certificate,
-    vector_to_kernel,
 )
 from .errors import (
     DataError,
@@ -110,15 +108,13 @@ def _frac_str(f: Fraction | None) -> str | None:
 class OnlBound:
     """Certified localization bound from one certificate on one band.
 
-    ``gram_deficit`` is the float worst-case |1 - Gram| over the band (the
-    same computation as measuring the extracted kernel, so the two agree
-    bitwise); the exact fields carry Fractions when the certificate kept
-    its Gram matrix rational, and ``epsilon`` is then rounded from the
-    exact value.  ``vacuous`` flags epsilon >= 1, where the bound says
-    nothing, and a NaN epsilon.  ``_first_sample`` keeps the first sampled
-    operator as (seed, operator, maximal-ball block norms at the
-    certificate radius) for :func:`equivalence_experiment`; no output
-    reads it.
+    ``gram_deficit`` is the float worst-case |1 - Gram| over the band; the
+    exact fields carry Fractions when the certificate kept its Gram matrix
+    rational, and ``epsilon`` is then rounded from the exact value.
+    ``vacuous`` flags epsilon >= 1, where the bound says nothing, and a NaN
+    epsilon.  ``_first_sample`` keeps the first sampled operator as (seed,
+    operator, maximal-ball block norms at the certificate radius) for
+    :func:`equivalence_experiment`; no output reads it.
     """
 
     space_name: str
@@ -392,14 +388,9 @@ class EquivalenceReport:
     loc_radius: float
     certificate_summary: dict
     bound: OnlBound
-    kernel: KernelCertificate
-    kernel_matches_gram: bool
     kernel_report: dict
-    kernel_band_deviation: float
-    deviation_matches_deficit: bool
     profile: object | None
     warnings: tuple
-    note: str
 
     def to_json(self) -> dict:
         return {
@@ -421,15 +412,9 @@ class EquivalenceReport:
                 "samples": [dict(c) for c in self.bound.sample_checks],
                 "all_verified": self.bound.all_verified,
             },
-            "kernel_checks": {
-                **self.kernel_report,
-                "matches_gram": self.kernel_matches_gram,
-                "band_deviation": self.kernel_band_deviation,
-                "deviation_matches_deficit": self.deviation_matches_deficit,
-            },
+            "kernel_checks": dict(self.kernel_report),
             "onl_profile": None if self.profile is None else self.profile.to_json(),
             "warnings": list(self.warnings),
-            "note": self.note,
         }
 
     def csv_row(self) -> tuple:
@@ -490,12 +475,7 @@ def equivalence_experiment(
             "certified bound is vacuous (epsilon >= 1); quantitative "
             "conclusions carry no information at this band radius"
         )
-    gram_kernel = vector_to_kernel(cert)
-    extracted = kernel_from_cp_map(cert)
-    matches = bool(np.array_equal(extracted.table, gram_kernel.table))
-    report = kernel_checks(extracted)
-    deviation = kernel_deviation(extracted, band_radius)
-    deviation_matches = bool(deviation == bound.gram_deficit)
+    report = kernel_checks(kernel_from_cp_map(cert))
     profile = None
     if profile_samples > 0 and 0 < band_radius <= loc_radius:
         probes = []
@@ -517,19 +497,13 @@ def equivalence_experiment(
             "no localization search: need 0 < band radius <= localization "
             "radius"
         )
-    exact = cert.exact_gram is not None
     summary = {
         "origin": origin,
         "form": "vector",
         "radius": cert.radius,
         "slots": cert.m,
-        "gram_arithmetic": "exact" if exact else "float",
-        "sizes": "equal (exact rational Gram)" if exact else None,
+        "gram_arithmetic": "float" if cert.exact_gram is None else "exact",
     }
-    note = (
-        "certificate built explicitly; kernel extracted entrywise from the "
-        "multiplier and compared bitwise against the certificate Gram matrix"
-    )
     return EquivalenceReport(
         space_name=space.name,
         n=space.n,
@@ -537,12 +511,7 @@ def equivalence_experiment(
         loc_radius=loc_radius,
         certificate_summary=summary,
         bound=bound,
-        kernel=extracted,
-        kernel_matches_gram=matches,
         kernel_report=report,
-        kernel_band_deviation=deviation,
-        deviation_matches_deficit=deviation_matches,
         profile=profile,
         warnings=tuple(warnings),
-        note=note,
     )

@@ -8,6 +8,7 @@ against iterative or blockwise norms) so agreement is meaningful.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 import normloc as nl
 
@@ -295,3 +296,65 @@ def count_factorizations(monkeypatch) -> dict:
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counted(name))
     return counts
+
+
+# Documents are mostly well formed, with any field possibly replaced by a
+# JSON value of another kind, so that the fuzz reaches every check of the
+# readers and of the commands that read them.  Counts are small or far
+# beyond MAX_TABLE_ENTRIES, which the readers must refuse before they
+# allocate.
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=2)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=1), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _mostly(valid, other=_JUNK):
+    """``valid`` four times in five, otherwise ``other``."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else other)
+
+
+_INDEX = _mostly(st.integers(-1, 3))
+_NUMBER = _mostly(
+    st.integers(0, 2) | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+def _rows(*fields):
+    return _mostly(st.lists(_mostly(st.tuples(*fields).map(list)), max_size=6))
+
+
+_DIST_DOCS = st.fixed_dictionaries(
+    {"dist": _mostly(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_NUMBER, min_size=n, max_size=n),
+                           min_size=n, max_size=n)))},
+    optional={"labels": _mostly(st.lists(st.text(max_size=2), max_size=4)),
+              "name": _JUNK},
+)
+_HUGE = st.sampled_from([2**40, 10**15])
+_GRAPH_DOCS = st.fixed_dictionaries(
+    {"n": _mostly(st.integers(-1, 4) | _HUGE), "edges": _rows(_INDEX, _INDEX)},
+    optional={"name": _JUNK},
+)
+SPACE_DOCS = _mostly(_DIST_DOCS | _GRAPH_DOCS)
+CERT_DOCS = st.fixed_dictionaries(
+    {
+        "form": _mostly(st.sampled_from(["subset", "vector", "kernel"])),
+        "space": _mostly(
+            st.sampled_from([
+                {"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+                {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+            ]),
+            SPACE_DOCS,
+        ),
+        "radius": _NUMBER,
+        "subsets": _mostly(st.lists(_rows(_INDEX, _INDEX), min_size=3,
+                                    max_size=4)),
+        "entries": _rows(_INDEX, _INDEX, _INDEX, _NUMBER, _NUMBER)
+        | _rows(_INDEX, _INDEX, _NUMBER, _NUMBER),
+    },
+    optional={"m": _mostly(st.integers(-1, 2) | _HUGE), "note": _JUNK},
+)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import normloc as nl
 from helpers import (
+    CERT_DOCS,
+    SPACE_DOCS,
     literal_ball_subsets,
     literal_subset_vectors,
     literal_tree_ray_subsets,
@@ -233,19 +235,9 @@ def test_tree_ray_rejects_non_trees(c6):
         nl.tree_ray_certificate(c6, 3)
 
 
-def test_vector_to_kernel(c6):
-    vec = nl.subset_to_vector(nl.ball_certificate(c6, 1))
-    kern = nl.vector_to_kernel(vec)
-    assert kern.radius == 2
-    assert (np.diagonal(kern.table) == 1.0).all()
-    assert not kern.table[c6.dist > 2].any()
-    report = nl.kernel_checks(kern)
-    assert report["psd_ok"] and report["min_eigenvalue"] > -1e-10
-
-
 def test_kernel_deviation(c6):
     vec = nl.subset_to_vector(nl.ball_certificate(c6, 1))
-    kern = nl.vector_to_kernel(vec)
+    kern = nl.kernel_from_cp_map(vec)
     assert abs(nl.kernel_deviation(kern, 1) - 1 / 3) < 1e-15
 
 
@@ -298,7 +290,7 @@ def test_certificate_json_round_trip(c6, form):
     elif form == "vector":
         cert = nl.subset_to_vector(subset)
     else:
-        cert = nl.vector_to_kernel(nl.subset_to_vector(subset))
+        cert = nl.kernel_from_cp_map(nl.subset_to_vector(subset))
     doc = nl.certificate_to_json(cert)
     back = nl.certificate_from_json(doc)
     assert type(back) is type(cert)
@@ -389,71 +381,10 @@ def test_library_callers_need_integers(c6, call):
         call(bt, c6)
 
 
-# Documents are mostly well formed, with any field possibly replaced by a
-# JSON value of another kind, so that the fuzz reaches every check of the
-# readers.  Counts are small or far beyond MAX_TABLE_ENTRIES, which the
-# readers must refuse before they allocate.
-_JUNK = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=2)
-    | st.floats(allow_nan=True, allow_infinity=True),
-    lambda inner: st.lists(inner, max_size=2)
-    | st.dictionaries(st.text(max_size=1), inner, max_size=2),
-    max_leaves=4,
-)
-
-
-def _mostly(valid, other=_JUNK):
-    """``valid`` four times in five, otherwise ``other``."""
-    return st.integers(0, 4).flatmap(lambda k: valid if k else other)
-
-
-_INDEX = _mostly(st.integers(-1, 3))
-_NUMBER = _mostly(
-    st.integers(0, 2) | st.floats(allow_nan=True, allow_infinity=True)
-)
-
-
-def _rows(*fields):
-    return _mostly(st.lists(_mostly(st.tuples(*fields).map(list)), max_size=6))
-
-
-_DIST_DOCS = st.fixed_dictionaries(
-    {"dist": _mostly(st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.lists(_NUMBER, min_size=n, max_size=n),
-                           min_size=n, max_size=n)))},
-    optional={"labels": _mostly(st.lists(st.text(max_size=2), max_size=4)),
-              "name": _JUNK},
-)
-_HUGE = st.sampled_from([2**40, 10**15])
-_GRAPH_DOCS = st.fixed_dictionaries(
-    {"n": _mostly(st.integers(-1, 4) | _HUGE), "edges": _rows(_INDEX, _INDEX)},
-    optional={"name": _JUNK},
-)
-_SPACE_DOCS = _mostly(_DIST_DOCS | _GRAPH_DOCS)
-_CERT_DOCS = st.fixed_dictionaries(
-    {
-        "form": _mostly(st.sampled_from(["subset", "vector", "kernel"])),
-        "space": _mostly(
-            st.sampled_from([
-                {"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
-                {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
-            ]),
-            _SPACE_DOCS,
-        ),
-        "radius": _NUMBER,
-        "subsets": _mostly(st.lists(_rows(_INDEX, _INDEX), min_size=3,
-                                    max_size=4)),
-        "entries": _rows(_INDEX, _INDEX, _INDEX, _NUMBER, _NUMBER)
-        | _rows(_INDEX, _INDEX, _NUMBER, _NUMBER),
-    },
-    optional={"m": _mostly(st.integers(-1, 2) | _HUGE), "note": _JUNK},
-)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(
-    st.tuples(st.just(nl.space_from_json), _SPACE_DOCS),
-    st.tuples(st.just(nl.certificate_from_json), _CERT_DOCS),
+    st.tuples(st.just(nl.space_from_json), SPACE_DOCS),
+    st.tuples(st.just(nl.certificate_from_json), CERT_DOCS),
 ))
 def test_json_readers_load_or_raise_data_error(case):
     reader, doc = case

@@ -7,9 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normloc as nl
+from helpers import CERT_DOCS, SPACE_DOCS
 from normloc.cli import main
 
 
@@ -448,8 +452,17 @@ def test_cert_check_reports_exact_epsilon(tmp_path, capsys):
     assert main(["cert", "check", "--in", out, "--band-radius", "1"]) == 0
     text = capsys.readouterr().out
     assert "kappa: 3" in text
+    assert "epsilon: 0.14285714285714285\n" in text
     assert "epsilon_exact: 1/7" in text
     assert "vacuous: False" in text
+    # equiv run reads the same epsilon off the same certificate
+    assert main(
+        ["equiv", "run", "--space", path, "--band-radius", "1",
+         "--loc-radius", "10", "--certificate", out, "--samples", "1",
+         "--profile-samples", "0", "--seed", "0",
+         "--out", str(tmp_path / "eq")]
+    ) == 0
+    assert "epsilon=0.14285714285714285 (exact 1/7)" in capsys.readouterr().out
 
 
 def test_cert_check_vector_document_keeps_exact_epsilon(tmp_path, capsys):
@@ -466,7 +479,7 @@ def test_cert_check_vector_document_keeps_exact_epsilon(tmp_path, capsys):
 
 def test_cert_check_tampered_kernel_exit_4(tmp_path, capsys):
     sp = nl.generate_family("cycle", {"n": 12})
-    kernel = nl.vector_to_kernel(
+    kernel = nl.kernel_from_cp_map(
         nl.subset_to_vector(nl.ball_certificate(sp, 2))
     )
     doc = nl.certificate_to_json(kernel)
@@ -481,6 +494,37 @@ def test_cert_check_tampered_kernel_exit_4(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "psd_ok: False" in text
     assert "verdict: fail" in text
+
+
+def test_cert_build_kernel_states_its_measured_propagation(tmp_path):
+    # balls of radius 5 on the 12-cycle meet at every distance up to 6
+    path = _space_file(tmp_path, n=12)
+    out = tmp_path / "kernel.json"
+    assert main(
+        ["cert", "build", "--space", path, "--kind", "ball", "--radius", "5",
+         "--form", "kernel", "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text())
+    report = nl.kernel_checks(nl.certificate_from_json(doc))
+    assert doc["radius"] == report["measured_propagation"] == 6
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+@pytest.mark.parametrize("form", ["subset", "vector", "kernel"])
+def test_cert_check_bad_band_radius_prints_nothing(
+    tmp_path, capsys, form, value
+):
+    path = _space_file(tmp_path, n=12)
+    out = str(tmp_path / "cert.json")
+    assert main(
+        ["cert", "build", "--space", path, "--kind", "ball", "--radius", "2",
+         "--form", form, "--out", out]
+    ) == 0
+    capsys.readouterr()
+    assert main(["cert", "check", "--in", out, f"--band-radius={value}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_cert_build_tree_ray_on_cycle_exit_3(tmp_path):
@@ -508,7 +552,7 @@ def test_equiv_run_deterministic(tmp_path, capsys):
             assert fa.read() == fb.read()
     doc = json.loads(open(a + ".json").read())
     assert doc["epsilon"]["epsilon_exact"] == "3/11"
-    assert doc["kernel_checks"]["matches_gram"] is True
+    assert doc["kernel_checks"]["psd_ok"] is True
 
 
 def test_named_tree_ray_certificate_needs_integer_radius(tmp_path, capsys):
@@ -540,6 +584,73 @@ def test_equiv_run_certificate_file_radius_mismatch(tmp_path):
     ) == 3
 
 
+def _zero_multiplier(certificate, compressed):
+    return 0 * compressed.source
+
+
+def _indefinite_kernel(certificate):
+    # off the unit diagonal, slightly skew, indefinite, and claiming more
+    # propagation than its entries reach
+    table = np.eye(certificate.space.n, dtype=complex)
+    table[0, 0] = 1.5
+    table[0, 1], table[1, 0] = 2.0, 2.0 + 1e-7
+    return nl.KernelCertificate(certificate.space, 2, table)
+
+
+# A patched library function per verdict behind exit 4, and the JSON path
+# of the verdict it breaks.
+_BROKEN_VERDICTS = [
+    ("equiv", nl.duality, "phi_apply", _zero_multiplier,
+     ("certified_bound_checks", "all_verified")),
+    ("equiv", nl.duality, "kernel_from_cp_map", _indefinite_kernel,
+     ("kernel_checks", "psd_ok")),
+    ("equiv", nl.localization, "_refine_ratio", lambda *args: 0.0,
+     ("onl_profile", "consistent")),
+    ("onl", nl.localization, "_refine_ratio", lambda *args: 0.0,
+     ("consistent",)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, module, name, fake, verdict",
+    _BROKEN_VERDICTS,
+    ids=["all_verified", "psd_ok", "consistent", "profile-consistent"],
+)
+def test_broken_verdict_exits_4(
+    tmp_path, capsys, monkeypatch, command, module, name, fake, verdict
+):
+    path = _space_file(tmp_path)
+    monkeypatch.setattr(module, name, fake)
+    common = ["--space", path, "--band-radius", "1", "--loc-radius", "5",
+              "--samples", "2", "--budget", "4", "--certificate", "ball",
+              "--seed", "0", "--out", str(tmp_path / "r")]
+    argv = (["equiv", "run", "--profile-samples", "2"] if command == "equiv"
+            else ["onl", "profile"])
+    assert main(argv + common) == 4
+    assert "verification failed" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "r.json").read_text())
+    for key in verdict:
+        doc = doc[key]
+    assert doc is False
+
+
+def test_broken_kernel_moves_every_kernel_check(tmp_path, monkeypatch):
+    path = _space_file(tmp_path)
+    monkeypatch.setattr(nl.duality, "kernel_from_cp_map", _indefinite_kernel)
+    assert main(
+        ["equiv", "run", "--space", path, "--band-radius", "1",
+         "--loc-radius", "5", "--samples", "1", "--profile-samples", "0",
+         "--seed", "0", "--out", str(tmp_path / "e")]
+    ) == 4
+    checks = json.loads((tmp_path / "e.json").read_text())["kernel_checks"]
+    assert checks["diagonal_error"] == 0.5
+    assert checks["hermitian_error"] > 0
+    assert checks["min_eigenvalue"] < 0
+    assert checks["psd_ok"] is False
+    assert checks["claimed_propagation"] == 2
+    assert checks["measured_propagation"] == 1
+
+
 def test_cb_check_deterministic_and_floor(tmp_path, capsys):
     path = _space_file(tmp_path, n=6, name="c6.json")
     args = [
@@ -561,3 +672,15 @@ def test_cb_check_deterministic_and_floor(tmp_path, capsys):
         args + ["--out", str(tmp_path / "cb_c.json"), "--fraction-floor", "1.1"]
     ) == 4
     capsys.readouterr()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(["space", "validate"]), SPACE_DOCS),
+    st.tuples(st.just(["cert", "check", "--band-radius", "1"]), CERT_DOCS),
+))
+def test_fuzzed_documents_exit_0_3_or_4(tmp_path_factory, case):
+    command, doc = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, "--in", str(path)]) in (0, 3, 4)
