@@ -64,7 +64,6 @@ from .localization import (
 from .operators import (
     BandedOperator,
     adjacency,
-    identity,
     operator_norm,
     propagation,
     random_banded,

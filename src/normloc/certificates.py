@@ -38,7 +38,6 @@ from .space import (
     _integer,
     _number,
     _records,
-    check_point,
     largest_distance,
     space_from_json,
     space_to_json,
@@ -219,17 +218,18 @@ def ball_certificate(space: FiniteMetricSpace, radius: float) -> SubsetCertifica
 
 
 def tree_ray_certificate(
-    space: FiniteMetricSpace, length: int, root: int = 0
+    space: FiniteMetricSpace, length: int
 ) -> SubsetCertificate:
     """Subset certificate on a tree: the geodesic ray of given length.
 
     The set at x collects the first ``length`` vertices of the path from x
-    toward the root; when the path ends early the remaining members are
-    copies of the root in fresh slots, so all sets have size exactly
-    ``length`` and adjacent sets overlap in exactly ``length - 1`` members.
-    Requires the distance-one graph to be a tree (checked).
+    toward the root, point 0 (the root of every generated tree); when the
+    path ends early the remaining members are copies of the root in fresh
+    slots, so all sets have size exactly ``length`` and adjacent sets
+    overlap in exactly ``length - 1`` members.  Requires the distance-one
+    graph to be a tree (checked).
     """
-    root = check_point(space, root)
+    root = 0
     length = _integer(length, "the ray length")
     if length < 1:
         raise InvalidParams(f"ray length must be >= 1, got {length}")

@@ -36,6 +36,10 @@ USAGE_EXIT = 2
 DATA_EXIT = 3
 VERIFY_EXIT = 4
 
+# ``cert check`` passes a kernel whose diagonal and Hermitian errors are
+# at most this.
+KERNEL_TOLERANCE = 1e-9
+
 
 class UsageError(Exception):
     pass
@@ -76,17 +80,28 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def radius(text: str) -> float:
-    """The argparse type of every radius flag: a finite float.
+def _finite(noun: str):
+    """The argparse type of a flag that takes a finite float, named by
+    ``noun`` in its messages.
 
     Text that is no number is a usage error (exit 2).  A NaN or infinite
-    radius raises :class:`DataError` (exit 3): no ball, band or artifact
-    can be built from it, and JSON cannot write it.
+    value raises :class:`DataError` (exit 3): no ball, band or artifact
+    can be built from it, JSON cannot write it, and no comparison with it
+    can both pass and fail.
     """
-    value = float(text)
-    if not math.isfinite(value):
-        raise DataError(f"a radius must be a finite number, got {text!r}")
-    return value
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise DataError(f"{noun} must be a finite number, got {text!r}")
+        return value
+
+    parse.__name__ = noun.split()[-1]
+    return parse
+
+
+# The type of every radius flag.
+radius = _finite("a radius")
 
 
 def _load_certificate(source: str, space, loc_radius):
@@ -170,8 +185,6 @@ def cmd_onl_profile(args) -> int:
     probes = []
     if args.include_adjacency:
         probes.append(("adjacency", operators.adjacency(sp)))
-    if args.include_identity:
-        probes.append(("identity", operators.identity(sp)))
     profile = localization.onl_profile(
         sp,
         args.band_radius,
@@ -208,7 +221,7 @@ def cmd_cert_build(args) -> int:
         subset = certs.ball_certificate(sp, args.radius)
     else:
         _require(args.length is not None, "--length is required for tree-ray")
-        subset = certs.tree_ray_certificate(sp, args.length, root=args.root)
+        subset = certs.tree_ray_certificate(sp, args.length)
     if args.form == "subset":
         out = subset
     elif args.form == "vector":
@@ -226,7 +239,6 @@ def cmd_cert_build(args) -> int:
 
 def cmd_cert_check(args) -> int:
     loaded = certs.certificate_from_json(_read_json(args.input))
-    tol = args.tol if args.tol is not None else 1e-9
     if isinstance(loaded, certs.KernelCertificate):
         form, vector, kernel = "kernel", None, loaded
     else:
@@ -269,8 +281,8 @@ def cmd_cert_check(args) -> int:
         print(f"{key}: {report[key]!r}")
     ok = (
         report["psd_ok"]
-        and report["diagonal_error"] <= tol
-        and report["hermitian_error"] <= tol
+        and report["diagonal_error"] <= KERNEL_TOLERANCE
+        and report["hermitian_error"] <= KERNEL_TOLERANCE
     )
     for line in band:
         print(line)
@@ -325,7 +337,6 @@ def cmd_cb_check(args) -> int:
         args.amplification,
         samples=args.samples,
         seed=args.seed,
-        tolerance=args.tol if args.tol is not None else 1e-6,
     )
     _write_text(args.out, _json_text(report.to_json()))
     print(
@@ -333,14 +344,19 @@ def cmd_cb_check(args) -> int:
         f"{report.scalar_ratio_estimate!r}, "
         f"min reduction fraction {report.min_reduction_fraction!r}"
     )
-    ok = report.consistent and report.min_reduction_fraction >= args.fraction_floor
-    if not ok:
-        print("verification failed: amplification inflated the ratio")
-        return VERIFY_EXIT
-    return 0
+    failed = []
+    if not report.min_reduction_fraction >= args.fraction_floor:
+        failed.append(
+            f"reduction fraction below the fraction floor {args.fraction_floor!r}"
+        )
+    if not report.consistent:
+        failed.append("consistent is false: amplification inflated the ratio")
+    for clause in failed:
+        print(f"verification failed: {clause}")
+    return VERIFY_EXIT if failed else 0
 
 
-def _add_common(parser, seed_required: bool = False, with_tol: bool = False):
+def _add_common(parser, seed_required: bool = False):
     parser.add_argument(
         "--seed",
         type=int,
@@ -349,13 +365,6 @@ def _add_common(parser, seed_required: bool = False, with_tol: bool = False):
         help="base seed for every random draw"
         + ("" if seed_required else " (optional here)"),
     )
-    if with_tol:
-        parser.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="override the command's default tolerance",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         "certified floor)",
     )
     p_prof.add_argument("--include-adjacency", action="store_true")
-    p_prof.add_argument("--include-identity", action="store_true")
     p_prof.add_argument(
         "--out", required=True, help="output prefix (.json and .csv)"
     )
@@ -420,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--kind", required=True, choices=["ball", "tree-ray"])
     p_build.add_argument("--radius", type=radius, default=None)
     p_build.add_argument("--length", type=int, default=None)
-    p_build.add_argument("--root", type=int, default=0)
     p_build.add_argument(
         "--form", default="vector", choices=["subset", "vector", "kernel"]
     )
@@ -431,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = cert_sub.add_parser("check", help="verify a certificate file")
     p_check.add_argument("--in", dest="input", required=True)
     p_check.add_argument("--band-radius", type=radius, default=None)
-    _add_common(p_check, with_tol=True)
+    _add_common(p_check)
     p_check.set_defaults(func=cmd_cert_check)
 
     p_equiv = sub.add_parser("equiv", help="certificate-to-bound experiments")
@@ -464,12 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cbc.add_argument("--samples", type=int, default=100)
     p_cbc.add_argument(
         "--fraction-floor",
-        type=float,
+        type=_finite("the fraction floor"),
         default=0.95,
         help="least acceptable reduction norm fraction",
     )
     p_cbc.add_argument("--out", required=True, help="output JSON path")
-    _add_common(p_cbc, seed_required=True, with_tol=True)
+    _add_common(p_cbc, seed_required=True)
     p_cbc.set_defaults(func=cmd_cb_check)
 
     return parser

@@ -61,6 +61,9 @@ from .space import (
 
 # Additive slack on the floating-point norms in a sampled bound check.
 BOUND_CHECK_SLACK = 1e-9
+# How far the amplified ratio may exceed the scalar estimate in a
+# consistent cb-norm check (:func:`sampled_cb_norm_check`).
+CB_TOLERANCE = 1e-6
 
 
 def _expand_weights(table: np.ndarray, m: int) -> np.ndarray:
@@ -299,15 +302,15 @@ def sampled_cb_norm_check(
     amplification: int,
     samples: int = 100,
     seed: int = 0,
-    tolerance: float = 1e-6,
 ) -> CbNormReport:
     """Check that amplification does not inflate inverse-localization ratios.
 
     Draws seeded scalar and amplified Gaussian band operators, reduces
     every amplified sample to a scalar one through its top singular fibers,
     and compares the worst amplified ratio against the best scalar
-    evidence.  Requires 0 < band radius <= localization radius so that
-    compressions of banded operators never vanish.
+    evidence, allowing ``CB_TOLERANCE``.  Requires 0 < band radius <=
+    localization radius so that compressions of banded operators never
+    vanish.
     """
     if not 0 < band_radius <= loc_radius:
         raise InvalidRadii(
@@ -358,8 +361,8 @@ def sampled_cb_norm_check(
         amplified_ratio=amplified,
         scalar_ratio_estimate=estimate,
         min_reduction_fraction=min(reduction_fractions),
-        tolerance=tolerance,
-        consistent=bool(amplified <= estimate + tolerance),
+        tolerance=CB_TOLERANCE,
+        consistent=bool(amplified <= estimate + CB_TOLERANCE),
     )
 
 

@@ -143,10 +143,6 @@ class BlockCompression:
     def space(self) -> FiniteMetricSpace:
         return self.source.space
 
-    def block(self, x: int) -> np.ndarray:
-        idx = expand_indices(self.index.balls[x], self.source.m)
-        return self.source.data[np.ix_(idx, idx)]
-
     def _norms(self, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
         data, m = self.source.data, self.source.m
 
@@ -169,18 +165,6 @@ class BlockCompression:
         ball, so only the inclusion-maximal balls are factorized.
         """
         return float(max(self.maximal_norms(), default=0.0))
-
-    def block_norms(self) -> np.ndarray:
-        """Spectral norm of every block, indexed by point."""
-        out = np.zeros(self.space.n)
-        centers, values = self._norms(
-            size_groups(self.index.balls, range(self.space.n))
-        )
-        out[centers] = values
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.block(x).any() for x in self.index.maximal)
 
 
 def compress(a: BandedOperator, radius: float) -> BlockCompression:

@@ -25,7 +25,6 @@ from .errors import (
 from .space import (
     FiniteMetricSpace,
     _integer,
-    check_point,
     largest_distance,
 )
 
@@ -96,19 +95,6 @@ class BandedOperator:
     def n(self) -> int:
         return self.space.n
 
-    def block(self, y: int, z: int) -> np.ndarray:
-        """The (m, m) block coupling points y and z (read-only view)."""
-        y = check_point(self.space, y)
-        z = check_point(self.space, z)
-        m = self.m
-        return self.data[y * m : (y + 1) * m, z * m : (z + 1) * m]
-
-    def entry(self, y: int, z: int) -> complex:
-        """Scalar entry for single-slot operators."""
-        if self.m != 1:
-            raise InvalidParams("entry() requires m = 1; use block()")
-        return complex(self.block(y, z)[0, 0])
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape != (self.n * self.m,):
@@ -116,9 +102,6 @@ class BandedOperator:
                 f"vector shape {vec.shape} does not match n*m = {self.n * self.m}"
             )
         return self.data @ vec
-
-    def to_dense(self) -> np.ndarray:
-        return self.data.copy()
 
     def adjoint(self) -> "BandedOperator":
         return BandedOperator(self.space, self.m, self.data.conj().T)
@@ -157,10 +140,6 @@ class BandedOperator:
         return (
             f"BandedOperator(space={self.space.name!r}, n={self.n}, m={self.m})"
         )
-
-
-def identity(space: FiniteMetricSpace) -> BandedOperator:
-    return BandedOperator(space, 1, np.eye(space.n))
 
 
 def adjacency(space: FiniteMetricSpace) -> BandedOperator:

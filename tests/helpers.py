@@ -41,15 +41,18 @@ def dense_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
+def ball_block(a, x: int, radius: float) -> np.ndarray:
+    """The two-sided restriction of an operator to the closed ball of the
+    given radius around x, read from its matrix one point at a time."""
+    m = a.m
+    points = np.flatnonzero(a.space.dist[x] <= radius)
+    idx = np.concatenate([np.arange(p * m, (p + 1) * m) for p in points])
+    return a.data[np.ix_(idx, idx)]
+
+
 def naive_compression_norm(a, radius: float) -> float:
     """Sup-block norm computed entry by entry, no batching or reuse."""
-    best = 0.0
-    n, m = a.n, a.m
-    for x in range(n):
-        points = np.flatnonzero(a.space.dist[x] <= radius)
-        idx = np.concatenate([np.arange(p * m, (p + 1) * m) for p in points])
-        best = max(best, dense_norm(a.data[np.ix_(idx, idx)]))
-    return best
+    return max(dense_norm(ball_block(a, x, radius)) for x in range(a.n))
 
 
 def naive_column_norm(a, radius: float) -> float:
@@ -93,6 +96,11 @@ def maximal_ball_centers(space, radius: float) -> list:
     ]
 
 
+def identity(space):
+    """The single-slot identity operator."""
+    return nl.BandedOperator(space, 1, np.eye(space.n))
+
+
 def matrix_unit(space, y: int, z: int):
     """The rank-one operator sending the basis vector at z to the one at y."""
     data = np.zeros((space.n, space.n), dtype=np.complex128)
@@ -128,7 +136,7 @@ def literal_kernel_from_cp_map(certificate) -> np.ndarray:
         for z in range(n):
             unit = matrix_unit(space, y, z)
             compressed = nl.compress(unit, certificate.radius)
-            table[y, z] = nl.phi_apply(certificate, compressed).entry(y, z)
+            table[y, z] = nl.phi_apply(certificate, compressed).data[y, z]
     return table
 
 
@@ -145,8 +153,13 @@ def ball_overlap(space, radius: float) -> np.ndarray:
 def block_support(a) -> np.ndarray:
     """(n, n) table of the point pairs whose block holds a nonzero entry,
     one block at a time."""
+    m = a.m
     return np.array([
-        [bool(a.block(y, z).any()) for z in range(a.n)] for y in range(a.n)
+        [
+            bool(a.data[y * m : (y + 1) * m, z * m : (z + 1) * m].any())
+            for z in range(a.n)
+        ]
+        for y in range(a.n)
     ])
 
 
@@ -215,14 +228,15 @@ def literal_refine_ratio(
     return best, accepted, halvings
 
 
-def literal_tree_ray_subsets(space, length: int, root: int = 0) -> tuple:
+def literal_tree_ray_subsets(space, length: int) -> tuple:
     """Tree-ray subsets as sets of (point, slot) pairs, one walk per point.
 
     Each vertex's parent is looked up on its own; the ray from x follows
-    parents until it holds ``length`` vertices or reaches the root, and is
-    then padded with root copies in slots 2, 3, ... up to ``length``
-    members.
+    parents until it holds ``length`` vertices or reaches the root (point
+    0), and is then padded with root copies in slots 2, 3, ... up to
+    ``length`` members.
     """
+    root = 0
     d = space.dist
     depth = d[root]
     parent = {}

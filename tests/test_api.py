@@ -1,8 +1,10 @@
-"""Every name the package exports is reached by the code it ships.
+"""Every name the package exports, and every public method of an
+exported class, is reached by the code it ships.
 
 A name is reached when perfbench reads it, when module-level code of the
-package reads it (imports aside), or when the body of a reached function
-or class reads it.  An export that only its own tests call is dead API.
+package reads it (imports aside), or when the body of a reached function,
+class or method reads it.  An export or method that only its own tests
+call is dead API.
 """
 
 import ast
@@ -32,40 +34,87 @@ def _exports() -> set:
     }
 
 
-def _reached() -> set:
+def _is_public_method(node) -> bool:
+    return isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+
+
+def _reach() -> tuple:
+    """(names read, public methods never read) by the shipped code.
+
+    A top-level function or class is reached when reached code reads its
+    name or an attribute of that name.  A public method or property of an
+    exported class is reached only when reached code outside its own body
+    reads it as an attribute; the rest of its class is reached with the
+    class.  Unreached methods come back as ``Class.method``.
+    """
+    exports = _exports()
     bodies: dict = {}
-    reached = set()
+    methods: dict = {}
+    names, attrs = set(), set()
+
+    def read(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+                attrs.add(n.attr)
+
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef) and node.name in exports:
+                kept = [*node.bases, *node.decorator_list]
+                for item in node.body:
+                    if _is_public_method(item):
+                        methods.setdefault(item.name, []).append(
+                            (node.name, item)
+                        )
+                    else:
+                        kept.append(item)
+                bodies.setdefault(node.name, []).extend(kept)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 bodies.setdefault(node.name, []).append(node)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                reached |= _reads(node)
+                read(node)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
-        reached |= _reads(tree)
+        read(tree)
         # the tracer names the functions it wraps in strings such as
-        # "BandedOperator.__matmul__"; prose (docstrings) names nothing
-        reached |= {
+        # "BandedOperator.__matmul__" and reads them with getattr; prose
+        # (docstrings) names nothing
+        words = {
             word
             for n in ast.walk(tree)
             if isinstance(n, ast.Constant) and isinstance(n.value, str)
             and re.fullmatch(r"[\w.]+", n.value)
             for word in n.value.split(".")
         }
-    todo = list(reached)
-    while todo:
-        for node in bodies.pop(todo.pop(), ()):
-            new = _reads(node) - reached
-            reached |= new
-            todo.extend(new)
-    return reached
+        names |= words
+        attrs |= words
+    while True:
+        ready = [k for k in bodies if k in names]
+        ready_methods = [k for k in methods if k in attrs]
+        if not ready and not ready_methods:
+            break
+        for key in ready:
+            for node in bodies.pop(key):
+                read(node)
+        for key in ready_methods:
+            for _, node in methods.pop(key):
+                read(node)
+    unreached = {f"{cls}.{name}" for name, found in methods.items()
+                 for cls, _ in found}
+    return names, unreached
 
 
 def test_every_export_is_reached():
-    assert sorted(_exports() - _reached()) == []
+    assert sorted(_exports() - _reach()[0]) == []
+
+
+def test_every_public_method_is_reached():
+    assert sorted(_reach()[1]) == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

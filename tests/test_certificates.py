@@ -187,13 +187,12 @@ def test_tree_ray_depth_shallower_than_ray():
 @pytest.mark.parametrize("depth", range(7))
 def test_tree_ray_matches_literal_walk(depth):
     bt = nl.generate_family("binary_tree", {"depth": depth})
-    for root in sorted({0, bt.n // 2, bt.n - 1}):
-        for length in range(1, depth + 4):
-            cert = nl.tree_ray_certificate(bt, length, root=root)
-            expected = pairs_to_table(
-                literal_tree_ray_subsets(bt, length, root), bt.n, length
-            )
-            assert np.array_equal(cert.member, expected), (root, length)
+    for length in range(1, depth + 4):
+        cert = nl.tree_ray_certificate(bt, length)
+        expected = pairs_to_table(
+            literal_tree_ray_subsets(bt, length), bt.n, length
+        )
+        assert np.array_equal(cert.member, expected), length
 
 
 def test_ball_certificate_is_the_distance_test(c60, btree6, grid8):

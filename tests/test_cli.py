@@ -369,6 +369,26 @@ def test_non_finite_radius_flags_exit_3(tmp_path, capsys, command, flag, value):
     assert list(tmp_path.glob("out*")) == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_fraction_floor_exits_3(tmp_path, capsys, value):
+    # -inf would switch the floor off and nan would fail every run
+    space = _space_file(tmp_path, n=6)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(
+        ["cb", "check", "--space", space, "--band-radius", "1",
+         "--loc-radius", "2", "--amplification", "2", "--samples", "1",
+         "--seed", "0", "--out", str(out), f"--fraction-floor={value}"]
+    ) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        f"the fraction floor must be a finite number, got '{value}'"
+        in captured.err
+    )
+    assert not out.exists()
+
+
 def test_onl_profile_non_finite_distance_exit_3(tmp_path, capsys):
     # a NaN distance fails every ball test, so it must never reach a verdict
     path = tmp_path / "nan.json"
@@ -672,6 +692,48 @@ def test_cb_check_deterministic_and_floor(tmp_path, capsys):
         args + ["--out", str(tmp_path / "cb_c.json"), "--fraction-floor", "1.1"]
     ) == 4
     capsys.readouterr()
+
+
+def _inflate_amplified_norms(monkeypatch):
+    # Doubles the norm of every amplified operator where the cb-norm check
+    # reads it; the reductions are measured in localization, so their
+    # fractions do not move.
+    norm = nl.duality.operator_norm
+    monkeypatch.setattr(
+        nl.duality, "operator_norm", lambda a: norm(a) * (2 if a.m > 1 else 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, patch, failed, passed",
+    [
+        (["--fraction-floor", "1.01"], None, "fraction floor", "consistent"),
+        ([], _inflate_amplified_norms, "consistent is false", "fraction floor"),
+    ],
+    ids=["fraction-floor", "consistent"],
+)
+def test_cb_check_names_the_failed_clause(
+    tmp_path, capsys, monkeypatch, extra, patch, failed, passed
+):
+    path = _space_file(tmp_path, n=6, name="c6.json")
+    if patch is not None:
+        patch(monkeypatch)
+    out = tmp_path / "cb.json"
+    assert main(
+        ["cb", "check", "--space", path, "--band-radius", "1",
+         "--loc-radius", "2", "--amplification", "2", "--samples", "6",
+         "--seed", "0", "--out", str(out), *extra]
+    ) == 4
+    printed = capsys.readouterr().out
+    assert "verification failed: " in printed
+    assert failed in printed and passed not in printed
+    doc = json.loads(out.read_text())
+    if patch is None:
+        assert doc["consistent"] is True
+        assert doc["min_reduction_fraction"] < 1.01
+    else:
+        assert doc["consistent"] is False
+        assert doc["min_reduction_fraction"] >= 0.95
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import normloc as nl
 from helpers import (
+    ball_block,
     block_support,
     count_factorizations,
     dense_norm,
+    identity,
     literal_random_banded,
     matrix_unit,
 )
@@ -19,17 +21,18 @@ from helpers import (
 
 def test_adjacency_structure(c6):
     a = nl.adjacency(c6)
-    assert a.entry(0, 1) == 1
-    assert a.entry(0, 2) == 0
+    assert a.data[0, 1] == 1
+    assert a.data[0, 2] == 0
     assert nl.propagation(a) == 1
     assert a.support.sum() == 12
 
 
 def test_identity_and_matrix_unit(c6):
-    one = nl.identity(c6)
-    assert np.array_equal(one.to_dense(), np.eye(6))
+    one = identity(c6)
+    assert np.array_equal(one.data, np.eye(6))
+    assert nl.propagation(one) == 0
     e = matrix_unit(c6, 1, 4)
-    assert e.entry(1, 4) == 1
+    assert e.data[1, 4] == 1
     assert e.data.sum() == 1
     assert nl.propagation(e) == 3
     with pytest.raises(nl.UnknownPoint):
@@ -42,23 +45,23 @@ def test_arithmetic_and_supports(c6):
     s = a + e
     assert s.support[0, 3]
     assert s.support[0, 1]
-    assert np.array_equal(s.to_dense(), a.to_dense() + e.to_dense())
+    assert np.array_equal(s.data, a.data + e.data)
     d = s - e
-    assert np.array_equal(d.to_dense(), a.to_dense())
+    assert np.array_equal(d.data, a.data)
     # the support is read from the data, so a cancelled slot leaves it
     assert not d.support[0, 3]
     assert np.array_equal(d.support, a.support)
     assert nl.propagation(d) == 1
     neg = -a
-    assert neg.entry(1, 0) == -1
+    assert neg.data[1, 0] == -1
     scaled = 2.5 * a
-    assert scaled.entry(0, 1) == 2.5
+    assert scaled.data[0, 1] == 2.5
 
 
 def test_matmul_support_is_nonzero_pattern(c6):
     a = nl.adjacency(c6)
     sq = a @ a
-    assert np.array_equal(sq.to_dense(), a.to_dense() @ a.to_dense())
+    assert np.array_equal(sq.data, a.data @ a.data)
     assert nl.propagation(sq) == 2
     # distance-2 pairs are reachable, distance-3 pairs are not
     assert sq.support[0, 2]
@@ -68,7 +71,7 @@ def test_matmul_support_is_nonzero_pattern(c6):
 def test_adjoint(c6):
     a = nl.random_banded(c6, 2, seed=3)
     adj = a.adjoint()
-    assert np.array_equal(adj.to_dense(), a.to_dense().conj().T)
+    assert np.array_equal(adj.data, a.data.conj().T)
     assert np.array_equal(adj.support, a.support.T)
 
 
@@ -116,11 +119,11 @@ def test_constructor_rejects_bad_shapes(c6):
 def test_random_banded_support_and_determinism(c60):
     a = nl.random_banded(c60, 2, seed=9)
     b = nl.random_banded(c60, 2, seed=9)
-    assert np.array_equal(a.to_dense(), b.to_dense())
+    assert np.array_equal(a.data, b.data)
     outside = c60.dist > 2
-    assert not a.to_dense()[outside].any()
+    assert not a.data[outside].any()
     inside = c60.dist <= 2
-    assert (a.to_dense()[inside] != 0).all()
+    assert (a.data[inside] != 0).all()
     assert nl.propagation(a) == 2
 
 
@@ -138,10 +141,8 @@ def test_random_banded_matches_literal_route(c6, grid3):
 def test_random_banded_multislot(c6):
     a = nl.random_banded(c6, 1, seed=4, m=3)
     assert a.data.shape == (18, 18)
-    assert a.block(0, 1).shape == (3, 3)
-    assert not a.block(0, 2).any()
-    with pytest.raises(nl.InvalidParams):
-        a.entry(0, 1)
+    assert a.data[0:3, 3:6].all()
+    assert not a.data[0:3, 6:9].any()
 
 
 def test_propagation_of_zero_is_zero(c6):
@@ -158,7 +159,7 @@ def test_norm_known_values(c6, p4):
 def test_norm_methods_agree_with_oracle(c60):
     for seed in range(8):
         a = nl.random_banded(c60, 1, seed=seed)
-        reference = dense_norm(a.to_dense())
+        reference = dense_norm(a.data)
         assert abs(nl.operator_norm(a, method="dense") - reference) < 1e-12
         assert (
             abs(nl.operator_norm(a, method="power") - reference)
@@ -229,14 +230,13 @@ def _complex_stack(rng, shape):
 def test_top_singular_values_match_oracle(c6):
     rng = np.random.default_rng(11)
     a2 = nl.random_banded(c6, 1, seed=6, m=2)
-    comp = nl.compress(a2, 1)
     stacks = {
         "square": _complex_stack(rng, (5, 9, 9)),
         "tall": _complex_stack(rng, (5, 12, 5)),
         "wide": _complex_stack(rng, (5, 5, 12)),
         "real": rng.standard_normal((5, 7, 7)),
         "zero": np.zeros((3, 6, 6), dtype=complex),
-        "m=2": np.stack([comp.block(x) for x in range(c6.n)]),
+        "m=2": np.stack([ball_block(a2, x, 1) for x in range(c6.n)]),
     }
     for name, stack in stacks.items():
         got = nl.top_singular_values(stack)
@@ -389,7 +389,7 @@ def test_non_finite_entries_raise_data_error(c6, bad):
             nl.top_singular_values(repeated)
     with pytest.raises(nl.DataError):
         nl.top_singular_pair(stack[1])
-    data = nl.adjacency(c6).to_dense()
+    data = nl.adjacency(c6).data.copy()
     data[0, 1] = bad
     # refused at construction, so no norm, compression or search sees it
     with pytest.raises(nl.DataError):
@@ -414,7 +414,7 @@ def test_top_pair_above_the_dense_limit(seed):
     a = nl.random_banded(c260, 1, seed=seed, m=2)
     assert a.data.shape[0] > nl.operators.DENSE_NORM_LIMIT
     red = nl.vector_amplification_reduction(a)
-    reference = dense_norm(a.to_dense())
+    reference = dense_norm(a.data)
     assert abs(red.input_norm - reference) <= 1e-8 * reference
     assert red.achieved_fraction >= 1 - 1e-8
 
