@@ -286,20 +286,23 @@ CERTIFICATE_SOURCES = ("ball", "tree_ray")
 
 def named_certificate(
     space: FiniteMetricSpace, source: str, loc_radius: float
-) -> VectorCertificate:
-    """Vector certificate from ``"ball"`` (normalized ball indicators) or
-    ``"tree_ray"`` (root-directed rays as long as the radius, which must be
-    an integer >= 1, else :class:`InvalidRadii`); other names raise
+) -> SubsetCertificate:
+    """The construction a source name stands for, in its own form.
+
+    ``"ball"`` gives the ball subsets and ``"tree_ray"`` the root-directed
+    rays as long as the radius, which must be an integer >= 1, else
+    :class:`InvalidRadii`; both are subset certificates.  Other names raise
     :class:`InvalidParams`.
     """
     if source == "ball":
-        return subset_to_vector(ball_certificate(space, loc_radius))
+        return ball_certificate(space, loc_radius)
     if source == "tree_ray":
-        if int(loc_radius) != loc_radius or loc_radius < 1:
+        if not (loc_radius >= 1 and float(loc_radius).is_integer()):
             raise InvalidRadii(
-                "tree_ray needs an integer localization radius >= 1"
+                "tree_ray needs an integer localization radius >= 1, "
+                f"got {loc_radius}"
             )
-        return subset_to_vector(tree_ray_certificate(space, int(loc_radius)))
+        return tree_ray_certificate(space, int(loc_radius))
     raise InvalidParams(f"unknown certificate source {source!r}")
 
 

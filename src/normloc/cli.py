@@ -105,24 +105,20 @@ radius = _finite("a radius")
 
 
 def _load_certificate(source: str, space, loc_radius):
-    """Certificate from a named construction or a JSON file."""
+    """Vector certificate from a named construction or a JSON file."""
     if source in certs.CERTIFICATE_SOURCES:
         try:
-            return certs.named_certificate(space, source, loc_radius)
+            loaded = certs.named_certificate(space, source, loc_radius)
         except InvalidRadii as exc:
             raise UsageError(str(exc)) from None
-    loaded = certs.certificate_from_json(_read_json(source))
+    else:
+        loaded = certs.certificate_from_json(_read_json(source))
     if isinstance(loaded, certs.SubsetCertificate):
         loaded = certs.subset_to_vector(loaded)
     if isinstance(loaded, certs.KernelCertificate):
         raise DataError(
             "kernel certificates carry no vectors; supply a subset or "
             "vector form"
-        )
-    if loaded.radius != loc_radius:
-        raise DataError(
-            f"certificate radius {loaded.radius} does not match "
-            f"--loc-radius {loc_radius}"
         )
     return loaded
 
@@ -215,19 +211,10 @@ def cmd_onl_profile(args) -> int:
 
 def cmd_cert_build(args) -> int:
     sp = spaces.load_space(args.space)
-    kind = args.kind.replace("-", "_")
-    if kind == "ball":
-        _require(args.radius is not None, "--radius is required for ball")
-        subset = certs.ball_certificate(sp, args.radius)
-    else:
-        _require(args.length is not None, "--length is required for tree-ray")
-        subset = certs.tree_ray_certificate(sp, args.length)
-    if args.form == "subset":
-        out = subset
-    elif args.form == "vector":
-        out = certs.subset_to_vector(subset)
-    else:
-        out = duality.kernel_from_cp_map(certs.subset_to_vector(subset))
+    subset = certs.named_certificate(sp, args.kind, args.radius)
+    out = subset if args.form == "subset" else certs.subset_to_vector(subset)
+    if args.form == "kernel":
+        out = duality.kernel_from_cp_map(out)
     _write_text(args.out, _json_text(certs.certificate_to_json(out)))
     sizes = subset.sizes
     print(
@@ -408,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--loc-radius", type=radius, required=True)
     p_prof.add_argument("--samples", type=int, default=50)
     p_prof.add_argument("--budget", type=int, default=200)
+    named = ", ".join(map(repr, certs.CERTIFICATE_SOURCES))
     p_prof.add_argument(
         "--certificate",
         default=None,
-        help="'ball', 'tree_ray', or a certificate JSON path (adds the "
-        "certified floor)",
+        help=f"{named}, or a certificate JSON path (adds the certified floor)",
     )
     p_prof.add_argument("--include-adjacency", action="store_true")
     p_prof.add_argument(
@@ -425,20 +412,19 @@ def build_parser() -> argparse.ArgumentParser:
     cert_sub = p_cert.add_subparsers(dest="subcommand", required=True)
     p_build = cert_sub.add_parser("build", help="construct a certificate")
     p_build.add_argument("--space", required=True)
-    p_build.add_argument("--kind", required=True, choices=["ball", "tree-ray"])
-    p_build.add_argument("--radius", type=radius, default=None)
-    p_build.add_argument("--length", type=int, default=None)
+    p_build.add_argument(
+        "--kind", required=True, choices=certs.CERTIFICATE_SOURCES
+    )
+    p_build.add_argument("--radius", type=radius, required=True)
     p_build.add_argument(
         "--form", default="vector", choices=["subset", "vector", "kernel"]
     )
     p_build.add_argument("--out", required=True)
-    _add_common(p_build)
     p_build.set_defaults(func=cmd_cert_build)
 
     p_check = cert_sub.add_parser("check", help="verify a certificate file")
     p_check.add_argument("--in", dest="input", required=True)
     p_check.add_argument("--band-radius", type=radius, default=None)
-    _add_common(p_check)
     p_check.set_defaults(func=cmd_cert_check)
 
     p_equiv = sub.add_parser("equiv", help="certificate-to-bound experiments")
@@ -450,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--certificate",
         default="ball",
-        help="'ball', 'tree_ray', or a certificate JSON path",
+        help=f"{named}, or a certificate JSON path",
     )
     p_run.add_argument("--samples", type=int, default=50)
     p_run.add_argument("--profile-samples", type=int, default=25)

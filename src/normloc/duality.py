@@ -32,6 +32,7 @@ from .certificates import (
     VectorCertificate,
     kernel_checks,
     named_certificate,
+    subset_to_vector,
 )
 from .errors import (
     DataError,
@@ -115,7 +116,7 @@ class OnlBound:
     exact fields carry Fractions when the certificate kept its Gram matrix
     rational, and ``epsilon`` is then rounded from the exact value.
     ``vacuous`` flags epsilon >= 1, where the bound says nothing, and a NaN
-    epsilon.  ``_first_sample`` keeps the first sampled operator as (seed,
+    epsilon.  ``_shared`` keeps the first sampled operators as (seed,
     operator, maximal-ball block norms at the certificate radius) for
     :func:`equivalence_experiment`; no output reads it.
     """
@@ -131,7 +132,7 @@ class OnlBound:
     vacuous: bool
     sample_checks: tuple
     all_verified: bool | None
-    _first_sample: tuple | None = field(default=None, repr=False)
+    _shared: tuple = field(default=(), repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -154,6 +155,8 @@ def a_implies_onl_bound(
     band_radius: float,
     samples: int = 0,
     seed: int = 0,
+    *,
+    _share: int = 0,
 ) -> OnlBound:
     """Quantitative lower bound on compression norms from a certificate.
 
@@ -162,7 +165,8 @@ def a_implies_onl_bound(
     operators in the band are drawn and both conclusions are verified
     numerically: the multiplier moves a by at most epsilon * ||a||, and the
     compressed norm is at least (1 - epsilon) * ||a||, each with additive
-    ``BOUND_CHECK_SLACK`` for the floating-point norms.
+    ``BOUND_CHECK_SLACK`` for the floating-point norms.  The first
+    ``_share`` samples are kept for :func:`equivalence_experiment`.
     """
     if not band_radius >= 0:
         raise InvalidRadii(f"band radius must be >= 0, got {band_radius}")
@@ -182,7 +186,7 @@ def a_implies_onl_bound(
         epsilon = float(epsilon_exact)
     checks = []
     all_verified: bool | None = None
-    first = None
+    shared = []
     if samples > 0:
         rng = np.random.default_rng(seed)
         child_seeds = rng.integers(0, 2**63 - 1, size=samples)
@@ -192,8 +196,8 @@ def a_implies_onl_bound(
             compressed = compress(a, certificate.radius)
             moved = operator_norm(a - phi_apply(certificate, compressed))
             norms = compressed.maximal_norms()
-            if first is None:
-                first = (s, a, norms)
+            if len(shared) < _share:
+                shared.append((s, a, norms))
             loc = float(max(norms, default=0.0))
             multiplier_ok = moved <= epsilon * norm_a + BOUND_CHECK_SLACK
             lower_ok = (1.0 - epsilon) * norm_a <= loc + BOUND_CHECK_SLACK
@@ -222,7 +226,7 @@ def a_implies_onl_bound(
         vacuous=not epsilon < 1,
         sample_checks=tuple(checks),
         all_verified=all_verified,
-        _first_sample=first,
+        _shared=tuple(shared),
     )
 
 
@@ -455,24 +459,26 @@ def equivalence_experiment(
     failing.
 
     The bound and the search draw their samples' seeds from one
-    ``default_rng(seed)`` stream, so the search's first operator is the
-    bound's first one, at the same band and localization radii.  The bound
-    hands that operator, whose norm it keeps, and its block norms to the
-    search, which takes them when the seeds and spaces match, so they are
-    computed once.
+    ``default_rng(seed)`` stream, so the search's operators are the
+    bound's first ones, at the same band and localization radii.  The
+    bound hands those operators, whose norms they keep, and their block
+    norms to the search, which takes them when the seeds and spaces match,
+    so each is measured once.
     """
     warnings = []
     origin = certificate if isinstance(certificate, str) else "custom"
-    if isinstance(certificate, VectorCertificate):
-        cert = certificate
-        if cert.radius != loc_radius:
-            raise InvalidParams(
-                f"certificate radius {cert.radius} does not match "
-                f"localization radius {loc_radius}"
-            )
-    else:
-        cert = named_certificate(space, certificate, loc_radius)
-    bound = a_implies_onl_bound(cert, band_radius, samples=samples, seed=seed)
+    cert = certificate
+    if isinstance(certificate, str):
+        subset = named_certificate(space, certificate, loc_radius)
+        cert = subset_to_vector(subset)
+    if cert.radius != loc_radius:
+        raise InvalidParams(
+            f"certificate radius {cert.radius} does not match "
+            f"localization radius {loc_radius}"
+        )
+    bound = a_implies_onl_bound(
+        cert, band_radius, samples=samples, seed=seed, _share=profile_samples
+    )
     if bound.vacuous:
         warnings.append(
             "certified bound is vacuous (epsilon >= 1); quantitative "
@@ -493,7 +499,7 @@ def equivalence_experiment(
             search_budget=search_budget,
             certificate=cert,
             probes=tuple(probes),
-            _first=bound._first_sample,
+            _shared=bound._shared,
         )
     elif profile_samples > 0:
         warnings.append(

@@ -260,7 +260,6 @@ class ColumnWitness:
     """A unit vector supported in one ball, with its amplification norm."""
 
     center: int
-    points: np.ndarray
     vector: np.ndarray
     column_norm: float
 
@@ -287,12 +286,7 @@ def best_localized_vector(a: BandedOperator, radius: float) -> ColumnWitness:
     cols = expand_indices(index.balls[center], a.m)
     vec = np.zeros(a.n * a.m, dtype=np.complex128)
     vec[cols] = top_singular_pair(a.data[:, cols])[1]
-    return ColumnWitness(
-        center=center,
-        points=np.asarray(index.balls[center], dtype=np.int64),
-        vector=vec,
-        column_norm=norm,
-    )
+    return ColumnWitness(center=center, vector=vec, column_norm=norm)
 
 
 CSV_HEADER = ("space", "n", "R", "S", "sigma_sq", "sigma_col", "sigma_sq_wide")
@@ -853,7 +847,7 @@ def onl_profile(
     certificate=None,
     probes: tuple = (),
     *,
-    _first: tuple | None = None,
+    _shared: tuple = (),
 ) -> OnlProfile:
     """Search for the worst localization ratio of band-limited operators.
 
@@ -863,27 +857,33 @@ def onl_profile(
     adds the guaranteed lower bound from its Schur-multiplier argument.
     Requires 0 < band radius <= localization radius.
 
-    ``_first`` is a sample the caller has measured already, as (seed,
-    operator, maximal-ball block norms at ``loc_radius``), drawn at
-    ``band_radius`` on ``space``.  A sample whose seed it matches takes
-    that operator and its norms instead of drawing and factorizing them
-    again (:func:`~normloc.duality.equivalence_experiment`).
+    ``_shared`` holds samples the caller has measured already, each as
+    (seed, operator, maximal-ball block norms at ``loc_radius``), drawn at
+    ``band_radius`` on ``space``.  A sample whose seed one of them matches
+    takes that operator and its norms instead of drawing and factorizing
+    them again (:func:`~normloc.duality.equivalence_experiment`).
     """
     if not 0 < band_radius <= loc_radius:
         raise InvalidRadii(
             f"need 0 < band radius <= localization radius, got "
             f"{band_radius} and {loc_radius}"
         )
+    if certificate is not None and certificate.radius != loc_radius:
+        raise InvalidParams(
+            f"certificate radius {certificate.radius} does not match "
+            f"localization radius {loc_radius}"
+        )
     if samples < 1:
         raise InvalidParams("need at least one sample")
     rng = np.random.default_rng(seed)
     sample_seeds = rng.integers(0, 2**63 - 1, size=samples)
+    shared = {s: (op, norms) for s, op, norms in _shared if op.space is space}
     reports = []
     ops = []
     block_norms = []
     for s in sample_seeds:
-        if _first is not None and _first[0] == s and _first[1].space is space:
-            _, op, norms = _first
+        if s in shared:
+            op, norms = shared[s]
         else:
             op, norms = random_banded(space, band_radius, int(s)), None
         ops.append(op)
@@ -913,11 +913,6 @@ def onl_profile(
     )
     epsilon = lower = vacuous = consistent = None
     if certificate is not None:
-        if certificate.radius != loc_radius:
-            raise InvalidParams(
-                f"certificate radius {certificate.radius} does not match "
-                f"localization radius {loc_radius}"
-            )
         from .duality import a_implies_onl_bound
 
         bound = a_implies_onl_bound(certificate, band_radius)

@@ -94,7 +94,6 @@ class GeometryProfile:
     """Ball statistics of a space at one radius."""
 
     radius: float
-    ball_sizes: tuple[int, ...]
     max_ball: int
     diameter: float
 
@@ -186,13 +185,12 @@ def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
 
 
 def geometry_profile(space: FiniteMetricSpace, radius: float) -> GeometryProfile:
-    """Ball sizes, their maximum, and the diameter at the given radius."""
+    """The largest ball and the diameter at the given radius."""
     if not radius >= 0:
         raise InvalidParams(f"radius must be nonnegative, got {radius}")
     sizes = (space.dist <= radius).sum(axis=1)
     return GeometryProfile(
         radius=radius,
-        ball_sizes=tuple(int(s) for s in sizes),
         max_ball=int(sizes.max()) if space.n else 0,
         diameter=largest_distance(space, ...),
     )

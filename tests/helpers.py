@@ -5,6 +5,7 @@ Reference values are computed by algorithms different from the library's
 against iterative or blockwise norms) so agreement is meaningful.
 """
 
+import argparse
 import math
 
 import numpy as np
@@ -310,6 +311,20 @@ def count_factorizations(monkeypatch) -> dict:
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counted(name))
     return counts
+
+
+def leaf_parsers(parser, words: str = "") -> dict:
+    """The parser of every runnable command, keyed by its words, such as
+    ``"cert build"``."""
+    subs = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    if not subs:
+        return {words: parser}
+    found = {}
+    for name, sub in subs[0].choices.items():
+        found.update(leaf_parsers(sub, f"{words} {name}".lstrip()))
+    return found
 
 
 # Documents are mostly well formed, with any field possibly replaced by a

@@ -1,5 +1,6 @@
 """Every name the package exports, and every public method of an
-exported class, is reached by the code it ships.
+exported class, is reached by the code it ships, and every command line
+option is read by its command.
 
 A name is reached when perfbench reads it, when module-level code of the
 package reads it (imports aside), or when the body of a reached function,
@@ -8,8 +9,12 @@ call is dead API.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
+
+from helpers import leaf_parsers
+from normloc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "normloc"
@@ -208,3 +213,24 @@ def test_every_defaulted_parameter_is_set_by_shipped_code():
         if (name, param) not in passed and (name, position) not in passed
     ]
     assert unset == []
+
+
+def test_every_option_is_read_by_its_command():
+    # An option that the command's function never reads as args.<dest>
+    # is a flag that changes nothing.
+    unread = []
+    for words, parser in sorted(leaf_parsers(cli.build_parser()).items()):
+        tree = ast.parse(inspect.getsource(parser.get_default("func")))
+        read = {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name)
+            and n.value.id == "args"
+        }
+        unread += [
+            f"{words} {action.option_strings[0]}"
+            for action in parser._actions
+            if action.dest != "help" and action.dest not in read
+        ]
+    assert unread == []

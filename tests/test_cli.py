@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normloc as nl
-from helpers import CERT_DOCS, SPACE_DOCS
-from normloc.cli import main
+from helpers import CERT_DOCS, SPACE_DOCS, leaf_parsers
+from normloc.cli import build_parser, main
 
 
 def _space_file(tmp_path, kind="cycle", n=30, name="sp.json", extra=()):
@@ -435,7 +435,7 @@ def test_cert_build_and_check_all_forms(tmp_path, capsys):
         ),
         (
             ["--kind", "binary-tree", "--depth", "2"],
-            ["--kind", "tree-ray", "--length", "6"],
+            ["--kind", "tree_ray", "--radius", "6"],
             "7d27c33412bd6550ca2600023e062d58a82293192fcabe9cc699ee36d50c414f",
             [[[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6]],
              [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 1]],
@@ -550,9 +550,58 @@ def test_cert_check_bad_band_radius_prints_nothing(
 def test_cert_build_tree_ray_on_cycle_exit_3(tmp_path):
     path = _space_file(tmp_path, n=12)
     assert main(
-        ["cert", "build", "--space", path, "--kind", "tree-ray",
-         "--length", "2", "--out", str(tmp_path / "t.json")]
+        ["cert", "build", "--space", path, "--kind", "tree_ray",
+         "--radius", "2", "--out", str(tmp_path / "t.json")]
     ) == 3
+
+
+def test_cert_build_kinds_are_the_certificate_sources():
+    build = next(
+        action for action in leaf_parsers(build_parser())["cert build"]._actions
+        if action.dest == "kind"
+    )
+    assert tuple(build.choices) == nl.certificates.CERTIFICATE_SOURCES
+
+
+@pytest.mark.parametrize("form", ["subset", "vector", "kernel"])
+@pytest.mark.parametrize("kind", nl.certificates.CERTIFICATE_SOURCES)
+def test_every_source_builds_and_checks_in_every_form(
+    tmp_path, capsys, kind, form
+):
+    path = str(tmp_path / "tree.json")
+    assert main(
+        ["space", "gen", "--kind", "binary-tree", "--depth", "3",
+         "--out", path]
+    ) == 0
+    out = str(tmp_path / "cert.json")
+    assert main(
+        ["cert", "build", "--space", path, "--kind", kind, "--radius", "2",
+         "--form", form, "--out", out]
+    ) == 0
+    capsys.readouterr()
+    assert main(["cert", "check", "--in", out, "--band-radius", "1"]) == 0
+    text = capsys.readouterr().out
+    assert f"form: {form}\n" in text and "verdict: pass" in text
+
+
+def test_cert_build_tree_ray_needs_integer_radius(tmp_path, capsys):
+    path = str(tmp_path / "tree.json")
+    assert main(
+        ["space", "gen", "--kind", "binary-tree", "--depth", "3",
+         "--out", path]
+    ) == 0
+    capsys.readouterr()
+    out = tmp_path / "t.json"
+    assert main(
+        ["cert", "build", "--space", path, "--kind", "tree_ray",
+         "--radius", "2.5", "--out", str(out)]
+    ) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: tree_ray needs an integer localization radius >= 1, "
+        "got 2.5\n"
+    )
+    assert not out.exists()
 
 
 def test_equiv_run_deterministic(tmp_path, capsys):

@@ -90,8 +90,10 @@ def test_onl_bound_nan_epsilon_is_vacuous(c60, monkeypatch):
         (lambda sp: nl.random_banded(sp, math.nan, seed=0), nl.InvalidParams),
         (lambda sp: nl.ball(sp, 0, math.nan), nl.InvalidParams),
         (lambda sp: nl.geometry_profile(sp, math.nan), nl.InvalidParams),
+        (lambda sp: nl.equivalence_experiment(
+            sp, 1, math.nan, certificate="tree_ray"), nl.InvalidRadii),
     ],
-    ids=["bound", "random-banded", "ball", "geometry-profile"],
+    ids=["bound", "random-banded", "ball", "geometry-profile", "tree-ray"],
 )
 def test_nan_radius_is_refused(c6, call, error):
     with pytest.raises(error, match="nan"):
@@ -275,6 +277,39 @@ def test_equivalence_experiment_measures_the_first_sample_once(
     assert profile.sample_seeds == (5765488047046174020,)
     assert rep.profile.to_json() == profile.to_json()
     assert rep.bound.to_json() == bound.to_json()
+
+
+def test_equivalence_experiment_draws_each_shared_sample_once(
+    c60, monkeypatch
+):
+    # The search's 3 seeds are the first 3 of the bound's 4, so the
+    # experiment draws 4 operators where bound and search apart draw 7.
+    cert = _ball_cert(c60, 10)
+    probes = (("adjacency", nl.adjacency(c60)),)
+    drawn = []
+    draw = nl.operators.random_banded
+
+    def counted(*args, **kwargs):
+        drawn.append(args)
+        return draw(*args, **kwargs)
+
+    for module in (nl.duality, nl.localization):
+        monkeypatch.setattr(module, "random_banded", counted)
+    rep = nl.equivalence_experiment(
+        c60, 1, 10, samples=4, seed=2, profile_samples=3, search_budget=8
+    )
+    assert len(drawn) == 4
+    bound = nl.a_implies_onl_bound(cert, 1, samples=4, seed=2)
+    profile = nl.onl_profile(
+        c60, 1, 10, samples=3, seed=2, search_budget=8, certificate=cert,
+        probes=probes,
+    )
+    assert len(drawn) == 11
+    assert profile.sample_seeds == tuple(
+        c["seed"] for c in bound.sample_checks[:3]
+    )
+    assert rep.bound.to_json() == bound.to_json()
+    assert rep.profile.to_json() == profile.to_json()
 
 
 def test_equivalence_experiment_vacuous_still_completes(c6):

@@ -107,9 +107,9 @@ def test_best_localized_vector_properties(c60):
     a = nl.random_banded(c60, 1, seed=3)
     witness = nl.best_localized_vector(a, 2)
     inside = np.zeros(60, dtype=bool)
-    inside[witness.points] = True
+    inside[nl.ball_index(c60, 2).balls[witness.center]] = True
     support = nl.vector_point_support(witness.vector, 1)
-    assert inside[support].all()
+    assert support.size and inside[support].all()
     assert abs(np.linalg.norm(witness.vector) - 1) < 1e-12
     achieved = np.linalg.norm(a.apply(witness.vector))
     assert abs(achieved - witness.column_norm) < 1e-10
@@ -429,7 +429,7 @@ def test_power_four_cut_from_a_hand_made_seed(monkeypatch):
 
     def seed(bn, radius):
         return nl.localization.ColumnWitness(
-            center=20, points=np.array([20]), vector=z,
+            center=20, vector=z,
             column_norm=float(np.linalg.norm(bn.apply(z))),
         )
 
@@ -590,6 +590,19 @@ def test_onl_profile_with_certificate_floor(c6):
     assert prof.worst_ratio + 1e-9 >= prof.certified_lower_bound
     wrong = nl.subset_to_vector(nl.ball_certificate(c6, 1))
     with pytest.raises(nl.InvalidParams):
+        nl.onl_profile(c6, 1, 2, samples=2, seed=0, certificate=wrong)
+
+
+def test_onl_profile_refuses_a_wrong_certificate_radius_first(
+    c6, monkeypatch
+):
+    # the radius check comes before any sample is drawn or refined
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random_banded was called")
+
+    monkeypatch.setattr(nl.localization, "random_banded", no_draw)
+    wrong = nl.subset_to_vector(nl.ball_certificate(c6, 1))
+    with pytest.raises(nl.InvalidParams, match="certificate radius 1"):
         nl.onl_profile(c6, 1, 2, samples=2, seed=0, certificate=wrong)
 
 
