@@ -27,7 +27,6 @@ from . import duality, localization, operators, space as spaces
 from .errors import (
     ConvergenceFailure,
     DataError,
-    InvalidRadii,
     NormlocError,
     VerificationError,
 )
@@ -107,10 +106,7 @@ radius = _finite("a radius")
 def _load_certificate(source: str, space, loc_radius):
     """Vector certificate from a named construction or a JSON file."""
     if source in certs.CERTIFICATE_SOURCES:
-        try:
-            loaded = certs.named_certificate(space, source, loc_radius)
-        except InvalidRadii as exc:
-            raise UsageError(str(exc)) from None
+        loaded = certs.named_certificate(space, source, loc_radius)
     else:
         loaded = certs.certificate_from_json(_read_json(source))
     if isinstance(loaded, certs.SubsetCertificate):

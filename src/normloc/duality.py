@@ -55,6 +55,7 @@ from .operators import (
 )
 from .space import (
     FiniteMetricSpace,
+    _fields_json,
     _integer,
     geometry_profile,
     largest_distance,
@@ -104,10 +105,6 @@ def schur_test_kappa(space: FiniteMetricSpace, radius: float) -> int:
     return geometry_profile(space, radius).max_ball
 
 
-def _frac_str(f: Fraction | None) -> str | None:
-    return None if f is None else str(f)
-
-
 @dataclass(frozen=True, eq=False)
 class OnlBound:
     """Certified localization bound from one certificate on one band.
@@ -135,19 +132,7 @@ class OnlBound:
     _shared: tuple = field(default=(), repr=False)
 
     def to_json(self) -> dict:
-        return {
-            "space": self.space_name,
-            "band_radius": self.band_radius,
-            "loc_radius": self.loc_radius,
-            "kappa": self.kappa,
-            "gram_deficit": self.gram_deficit,
-            "gram_deficit_exact": _frac_str(self.gram_deficit_exact),
-            "epsilon": self.epsilon,
-            "epsilon_exact": _frac_str(self.epsilon_exact),
-            "vacuous": self.vacuous,
-            "sample_checks": [dict(c) for c in self.sample_checks],
-            "all_verified": self.all_verified,
-        }
+        return _fields_json(self, "_shared")
 
 
 def a_implies_onl_bound(
@@ -170,6 +155,8 @@ def a_implies_onl_bound(
     """
     if not band_radius >= 0:
         raise InvalidRadii(f"band radius must be >= 0, got {band_radius}")
+    if samples < 0:
+        raise InvalidParams(f"sample count must be >= 0, got {samples}")
     space = certificate.space
     gram = certificate.gram
     band = space.dist <= band_radius
@@ -279,24 +266,7 @@ class CbNormReport:
     consistent: bool
 
     def to_json(self) -> dict:
-        return {
-            "space": self.space_name,
-            "band_radius": self.band_radius,
-            "loc_radius": self.loc_radius,
-            "amplification": self.amplification,
-            "samples": self.samples,
-            "seed": self.seed,
-            "scalar_ratios": list(self.scalar_ratios),
-            "amplified_ratios": list(self.amplified_ratios),
-            "reduction_ratios": list(self.reduction_ratios),
-            "reduction_fractions": list(self.reduction_fractions),
-            "scalar_ratio_raw": self.scalar_ratio_raw,
-            "amplified_ratio": self.amplified_ratio,
-            "scalar_ratio_estimate": self.scalar_ratio_estimate,
-            "min_reduction_fraction": self.min_reduction_fraction,
-            "tolerance": self.tolerance,
-            "consistent": self.consistent,
-        }
+        return _fields_json(self)
 
 
 def sampled_cb_norm_check(
@@ -400,6 +370,15 @@ class EquivalenceReport:
     warnings: tuple
 
     def to_json(self) -> dict:
+        # The bound's own fields, less those stated under "space" and
+        # "parameters", less its checks, make the epsilon block.
+        epsilon = self.bound.to_json()
+        checks = {
+            "samples": epsilon.pop("sample_checks"),
+            "all_verified": epsilon.pop("all_verified"),
+        }
+        for key in ("space", "band_radius", "loc_radius"):
+            del epsilon[key]
         return {
             "space": {"name": self.space_name, "n": self.n},
             "parameters": {
@@ -407,18 +386,8 @@ class EquivalenceReport:
                 "loc_radius": self.loc_radius,
             },
             "certificate": self.certificate_summary,
-            "epsilon": {
-                "kappa": self.bound.kappa,
-                "gram_deficit": self.bound.gram_deficit,
-                "gram_deficit_exact": _frac_str(self.bound.gram_deficit_exact),
-                "epsilon": self.bound.epsilon,
-                "epsilon_exact": _frac_str(self.bound.epsilon_exact),
-                "vacuous": self.bound.vacuous,
-            },
-            "certified_bound_checks": {
-                "samples": [dict(c) for c in self.bound.sample_checks],
-                "all_verified": self.bound.all_verified,
-            },
+            "epsilon": epsilon,
+            "certified_bound_checks": checks,
             "kernel_checks": dict(self.kernel_report),
             "onl_profile": None if self.profile is None else self.profile.to_json(),
             "warnings": list(self.warnings),
@@ -465,6 +434,13 @@ def equivalence_experiment(
     norms to the search, which takes them when the seeds and spaces match,
     so each is measured once.
     """
+    if profile_samples < 0:
+        raise InvalidParams(
+            f"profile sample count must be >= 0, got {profile_samples}"
+        )
+    # The profile may be skipped, so the budget is checked here as well.
+    if search_budget < 0:
+        raise InvalidParams(f"search budget must be >= 0, got {search_budget}")
     warnings = []
     origin = certificate if isinstance(certificate, str) else "custom"
     cert = certificate

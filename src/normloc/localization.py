@@ -42,6 +42,7 @@ from .operators import (
 from .space import (
     BallIndex,
     FiniteMetricSpace,
+    _fields_json,
     _integer,
     ball_index,
     largest_distance,
@@ -138,10 +139,6 @@ class BlockCompression:
     source: BandedOperator
     radius: float
     index: BallIndex
-
-    @property
-    def space(self) -> FiniteMetricSpace:
-        return self.source.space
 
     def _norms(self, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
         data, m = self.source.data, self.source.m
@@ -313,23 +310,7 @@ class LocalizationReport:
     chain_slack: float
 
     def to_json(self) -> dict:
-        return {
-            "space": self.space_name,
-            "n": self.n,
-            "m": self.m,
-            "propagation": self.propagation,
-            "loc_radius": self.loc_radius,
-            "operator_norm": self.operator_norm,
-            "compressed_norm": self.compressed_norm,
-            "column_norm": self.column_norm,
-            "wide_norm": self.wide_norm,
-            "sigma_sq": self.sigma_sq,
-            "sigma_col": self.sigma_col,
-            "sigma_sq_wide": self.sigma_sq_wide,
-            "witness_center": self.witness_center,
-            "chain_ok": self.chain_ok,
-            "chain_slack": self.chain_slack,
-        }
+        return _fields_json(self)
 
     def csv_row(self) -> tuple:
         return (
@@ -466,25 +447,7 @@ class PowerWitness:
     shell_split: bool
 
     def to_json(self) -> dict:
-        return {
-            "power": self.power,
-            "stage": self.stage,
-            "shell_split": self.shell_split,
-            "center": self.center,
-            "loc_radius": self.loc_radius,
-            "propagation": self.propagation,
-            "contraction": self.contraction,
-            "threshold": self.threshold,
-            "ratios": list(self.ratios),
-            "measured_ratio": self.measured_ratio,
-            "support_points": list(self.support_points),
-            "support_diameter": self.support_diameter,
-            "support_radius_bound": self.support_radius_bound,
-            "diameter_bound": self.diameter_bound,
-            "diameter_bound_proved": self.diameter_bound_proved,
-            "within_diameter_bound": self.within_diameter_bound,
-            "within_proved_bound": self.within_proved_bound,
-        }
+        return _fields_json(self, "vector")
 
 
 def _shell_split(
@@ -742,26 +705,12 @@ class OnlProfile:
 
     def to_json(self) -> dict:
         return {
-            "space": self.space_name,
-            "n": self.n,
-            "band_radius": self.band_radius,
-            "loc_radius": self.loc_radius,
-            "samples": self.samples,
-            "seed": self.seed,
-            "search_budget": self.search_budget,
-            "sample_seeds": [int(s) for s in self.sample_seeds],
+            **_fields_json(self, "sample_reports", "probe_reports"),
             "sample_sigma_sq": [r.sigma_sq for r in self.sample_reports],
             "probes": [
                 {"name": name, **rep.to_json()}
                 for name, rep in self.probe_reports
             ],
-            "worst_sample_ratio": self.worst_sample_ratio,
-            "adversarial_ratio": self.adversarial_ratio,
-            "worst_ratio": self.worst_ratio,
-            "epsilon": self.epsilon,
-            "certified_lower_bound": self.certified_lower_bound,
-            "vacuous": self.vacuous,
-            "consistent": self.consistent,
         }
 
 
@@ -875,6 +824,8 @@ def onl_profile(
         )
     if samples < 1:
         raise InvalidParams("need at least one sample")
+    if search_budget < 0:
+        raise InvalidParams(f"search budget must be >= 0, got {search_budget}")
     rng = np.random.default_rng(seed)
     sample_seeds = rng.integers(0, 2**63 - 1, size=samples)
     shared = {s: (op, norms) for s, op, norms in _shared if op.space is space}

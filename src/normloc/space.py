@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,7 +94,6 @@ class FiniteMetricSpace:
 class GeometryProfile:
     """Ball statistics of a space at one radius."""
 
-    radius: float
     max_ball: int
     diameter: float
 
@@ -190,7 +190,6 @@ def geometry_profile(space: FiniteMetricSpace, radius: float) -> GeometryProfile
         raise InvalidParams(f"radius must be nonnegative, got {radius}")
     sizes = (space.dist <= radius).sum(axis=1)
     return GeometryProfile(
-        radius=radius,
         max_ball=int(sizes.max()) if space.n else 0,
         diameter=largest_distance(space, ...),
     )
@@ -504,6 +503,26 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
         "labels": list(space.labels),
         "dist": space.dist.tolist(),
     }
+
+
+def _fields_json(report, *skip: str) -> dict:
+    """A report dataclass's fields by name, as a JSON object.
+
+    ``space_name`` is written under ``space``, a tuple as a list and a
+    ``Fraction`` as its ``p/q`` text; the fields named in ``skip`` are left
+    out.
+    """
+    doc = {}
+    for f in fields(report):
+        if f.name in skip:
+            continue
+        value = getattr(report, f.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, Fraction):
+            value = str(value)
+        doc["space" if f.name == "space_name" else f.name] = value
+    return doc
 
 
 def _integer(value, what: str) -> int:

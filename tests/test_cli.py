@@ -625,17 +625,40 @@ def test_equiv_run_deterministic(tmp_path, capsys):
 
 
 def test_named_tree_ray_certificate_needs_integer_radius(tmp_path, capsys):
-    # one dispatch builds named certificates for both commands; each keeps
-    # its exit code for a radius the tree-ray source cannot take
+    # one dispatch builds named certificates for both commands, and a
+    # radius the tree-ray source cannot take is invalid data in each
     path = _space_file(tmp_path)
     common = ["--space", path, "--band-radius", "1", "--loc-radius", "2.5",
               "--certificate", "tree_ray", "--seed", "0",
               "--out", str(tmp_path / "r")]
     message = "tree_ray needs an integer localization radius >= 1"
-    assert main(["onl", "profile", "--samples", "2"] + common) == 2
-    assert f"usage error: {message}" in capsys.readouterr().err
-    assert main(["equiv", "run", "--samples", "2"] + common) == 3
-    assert f"error: {message}" in capsys.readouterr().err
+    for command in (["onl", "profile"], ["equiv", "run"]):
+        assert main(command + ["--samples", "2"] + common) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "equiv run --samples -3",
+        "equiv run --profile-samples -2",
+        "equiv run --budget -5",
+        "onl profile --budget -5",
+    ],
+)
+def test_negative_count_exits_3_before_drawing(tmp_path, capsys, argv):
+    path = _space_file(tmp_path, n=12)
+    capsys.readouterr()
+    code = main(
+        argv.split()
+        + ["--space", path, "--band-radius", "1", "--loc-radius", "2",
+           "--seed", "0", "--out", str(tmp_path / "r")]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "must be >= 0, got -" in captured.err
+    assert not list(tmp_path.glob("r.*"))
 
 
 def test_equiv_run_certificate_file_radius_mismatch(tmp_path):
@@ -741,6 +764,98 @@ def test_cb_check_deterministic_and_floor(tmp_path, capsys):
         args + ["--out", str(tmp_path / "cb_c.json"), "--fraction-floor", "1.1"]
     ) == 4
     capsys.readouterr()
+
+
+_REPORT_KEYS = [
+    "chain_ok", "chain_slack", "column_norm", "compressed_norm",
+    "loc_radius", "m", "n", "operator_norm", "propagation", "sigma_col",
+    "sigma_sq", "sigma_sq_wide", "space", "wide_norm", "witness_center",
+]
+_PROFILE_KEYS = [
+    "adversarial_ratio", "band_radius", "certified_lower_bound",
+    "consistent", "epsilon", "loc_radius", "n", "probes", "sample_seeds",
+    "sample_sigma_sq", "samples", "search_budget", "seed", "space",
+    "vacuous", "worst_ratio", "worst_sample_ratio",
+]
+
+
+def _check_profile_keys(doc):
+    assert sorted(doc) == _PROFILE_KEYS
+    (probe,) = doc["probes"]
+    assert sorted(probe) == sorted(_REPORT_KEYS + ["name"])
+
+
+def _check_equiv_keys(doc):
+    assert sorted(doc) == [
+        "certificate", "certified_bound_checks", "epsilon", "kernel_checks",
+        "onl_profile", "parameters", "space", "warnings",
+    ]
+    assert sorted(doc["space"]) == ["n", "name"]
+    assert sorted(doc["parameters"]) == ["band_radius", "loc_radius"]
+    assert sorted(doc["certificate"]) == [
+        "form", "gram_arithmetic", "origin", "radius", "slots",
+    ]
+    assert sorted(doc["epsilon"]) == [
+        "epsilon", "epsilon_exact", "gram_deficit", "gram_deficit_exact",
+        "kappa", "vacuous",
+    ]
+    checks = doc["certified_bound_checks"]
+    assert sorted(checks) == ["all_verified", "samples"]
+    assert sorted(checks["samples"][0]) == [
+        "compressed_norm", "difference_norm", "lower_bound_ok",
+        "multiplier_ok", "operator_norm", "seed",
+    ]
+    assert sorted(doc["kernel_checks"]) == [
+        "claimed_propagation", "diagonal_error", "hermitian_error",
+        "measured_propagation", "min_eigenvalue", "psd_ok",
+    ]
+    _check_profile_keys(doc["onl_profile"])
+
+
+def _check_cb_keys(doc):
+    assert sorted(doc) == [
+        "amplification", "amplified_ratio", "amplified_ratios",
+        "band_radius", "consistent", "loc_radius", "min_reduction_fraction",
+        "reduction_fractions", "reduction_ratios", "samples",
+        "scalar_ratio_estimate", "scalar_ratio_raw", "scalar_ratios", "seed",
+        "space", "tolerance",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        ("onl profile --band-radius 1 --loc-radius 2 --samples 3 --budget 8 "
+         "--certificate ball --include-adjacency --out {out}",
+         _check_profile_keys),
+        ("equiv run --band-radius 1 --loc-radius 2 --samples 3 "
+         "--profile-samples 2 --budget 8 --out {out}", _check_equiv_keys),
+        ("cb check --band-radius 1 --loc-radius 2 --amplification 2 "
+         "--samples 2 --out {out}.json", _check_cb_keys),
+    ],
+    ids=["onl-profile", "equiv-run", "cb-check"],
+)
+def test_json_artifact_keys(tmp_path, capsys, monkeypatch, argv, check):
+    # Each report writes its fields by name, so a field added to a report
+    # shows up here.  The object written must survive a JSON round trip:
+    # no tuple, Fraction or numpy scalar in it.
+    path = _space_file(tmp_path, n=12)
+    written = []
+    text = nl.cli._json_text
+
+    def record(obj):
+        written.append(obj)
+        return text(obj)
+
+    monkeypatch.setattr(nl.cli, "_json_text", record)
+    out = str(tmp_path / "r")
+    assert main(
+        argv.format(out=out).split() + ["--space", path, "--seed", "0"]
+    ) == 0
+    capsys.readouterr()
+    (doc,) = written
+    check(doc)
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def _inflate_amplified_norms(monkeypatch):

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -364,6 +365,20 @@ def test_power_witness_support_inclusion(c60):
     dist_to_center = c60.dist[w.center, list(w.support_points)]
     assert (dist_to_center <= w.support_radius_bound).all()
     assert w.support_diameter <= w.diameter_bound_proved
+
+
+def test_power_witness_json_keys(c60):
+    # every field by name but the vector; nothing that JSON cannot hold
+    a = nl.random_banded(c60, 1, seed=5)
+    doc = nl.power_trick_witness(a, 5, 2).to_json()
+    assert sorted(doc) == [
+        "center", "contraction", "diameter_bound", "diameter_bound_proved",
+        "loc_radius", "measured_ratio", "power", "propagation", "ratios",
+        "shell_split", "stage", "support_diameter", "support_points",
+        "support_radius_bound", "threshold", "within_diameter_bound",
+        "within_proved_bound",
+    ]
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_power_two_witness_is_cut_to_one_side_of_the_shell(c60):
