@@ -42,6 +42,7 @@ from .errors import (
 )
 from .localization import (
     BlockCompression,
+    _report_and_norms,
     compress,
     onl_profile,
     vector_amplification_reduction,
@@ -114,8 +115,9 @@ class OnlBound:
     rational, and ``epsilon`` is then rounded from the exact value.
     ``vacuous`` flags epsilon >= 1, where the bound says nothing, and a NaN
     epsilon.  ``_shared`` keeps the first sampled operators as (seed,
-    operator, maximal-ball block norms at the certificate radius) for
-    :func:`equivalence_experiment`; no output reads it.
+    operator, report, norms, exact), the last three from
+    :func:`~normloc.localization._report_and_norms` at the certificate
+    radius, for :func:`equivalence_experiment`; no output reads it.
     """
 
     space_name: str
@@ -135,6 +137,18 @@ class OnlBound:
         return _fields_json(self, "_shared")
 
 
+def _bound_checks(
+    norm_a: float, moved: float, loc: float, epsilon: float
+) -> tuple[bool, bool]:
+    """(``multiplier_ok``, ``lower_bound_ok``) of one sampled operator of
+    norm ``norm_a``: the multiplier moves it by ``moved`` <= epsilon *
+    ``norm_a``, and its compressed norm ``loc`` is >= (1 - epsilon) *
+    ``norm_a``, each with additive ``BOUND_CHECK_SLACK``."""
+    multiplier_ok = moved <= epsilon * norm_a + BOUND_CHECK_SLACK
+    lower_ok = (1.0 - epsilon) * norm_a <= loc + BOUND_CHECK_SLACK
+    return bool(multiplier_ok), bool(lower_ok)
+
+
 def a_implies_onl_bound(
     certificate: VectorCertificate,
     band_radius: float,
@@ -150,8 +164,11 @@ def a_implies_onl_bound(
     operators in the band are drawn and both conclusions are verified
     numerically: the multiplier moves a by at most epsilon * ||a||, and the
     compressed norm is at least (1 - epsilon) * ||a||, each with additive
-    ``BOUND_CHECK_SLACK`` for the floating-point norms.  The first
-    ``_share`` samples are kept for :func:`equivalence_experiment`.
+    ``BOUND_CHECK_SLACK`` for the floating-point norms
+    (:func:`_bound_checks`).  The first ``_share`` samples are profiled
+    (:func:`~normloc.localization._report_and_norms`), their compressed
+    norm is their report's, and they are kept for
+    :func:`equivalence_experiment`.
     """
     if not band_radius >= 0:
         raise InvalidRadii(f"band radius must be >= 0, got {band_radius}")
@@ -182,20 +199,23 @@ def a_implies_onl_bound(
             norm_a = operator_norm(a)
             compressed = compress(a, certificate.radius)
             moved = operator_norm(a - phi_apply(certificate, compressed))
-            norms = compressed.maximal_norms()
             if len(shared) < _share:
-                shared.append((s, a, norms))
-            loc = float(max(norms, default=0.0))
-            multiplier_ok = moved <= epsilon * norm_a + BOUND_CHECK_SLACK
-            lower_ok = (1.0 - epsilon) * norm_a <= loc + BOUND_CHECK_SLACK
+                measured = _report_and_norms(a, certificate.radius)
+                shared.append((s, a, *measured))
+                loc = measured[0].compressed_norm
+            else:
+                loc = compressed.norm()
+            multiplier_ok, lower_ok = _bound_checks(
+                norm_a, moved, loc, epsilon
+            )
             checks.append(
                 {
                     "seed": int(s),
                     "operator_norm": norm_a,
                     "difference_norm": moved,
                     "compressed_norm": loc,
-                    "multiplier_ok": bool(multiplier_ok),
-                    "lower_bound_ok": bool(lower_ok),
+                    "multiplier_ok": multiplier_ok,
+                    "lower_bound_ok": lower_ok,
                 }
             )
         all_verified = all(
@@ -429,10 +449,11 @@ def equivalence_experiment(
 
     The bound and the search draw their samples' seeds from one
     ``default_rng(seed)`` stream, so the search's operators are the
-    bound's first ones, at the same band and localization radii.  The
-    bound hands those operators, whose norms they keep, and their block
-    norms to the search, which takes them when the seeds and spaces match,
-    so each is measured once.
+    bound's first ones, at the same band and localization radii.  When
+    the search runs, the bound profiles those operators, takes their
+    compressed norms from their reports, and hands operators, reports and
+    block norms to the search, which takes them when the seeds and spaces
+    match, so each is measured once.
     """
     if profile_samples < 0:
         raise InvalidParams(
@@ -452,8 +473,10 @@ def equivalence_experiment(
             f"certificate radius {cert.radius} does not match "
             f"localization radius {loc_radius}"
         )
+    search = profile_samples > 0 and 0 < band_radius <= loc_radius
     bound = a_implies_onl_bound(
-        cert, band_radius, samples=samples, seed=seed, _share=profile_samples
+        cert, band_radius, samples=samples, seed=seed,
+        _share=profile_samples if search else 0,
     )
     if bound.vacuous:
         warnings.append(
@@ -462,7 +485,7 @@ def equivalence_experiment(
         )
     report = kernel_checks(kernel_from_cp_map(cert))
     profile = None
-    if profile_samples > 0 and 0 < band_radius <= loc_radius:
+    if search:
         probes = []
         if band_radius >= 1 and (space.dist == 1).any():
             probes.append(("adjacency", adjacency(space)))

@@ -19,7 +19,7 @@ toolbox.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,6 +155,12 @@ class BlockCompression:
         """Spectral norm of each maximal ball's block, as ``index.maximal``."""
         return self._norms(self.index.groups)[1]
 
+    def _norms_of(self, which: np.ndarray) -> np.ndarray:
+        """Norms of the maximal-ball blocks that the boolean ``which``
+        picks, as ``index.maximal[which]``."""
+        index = self.index
+        return self._norms(size_groups(index.balls, index.maximal[which]))[1]
+
     def norm(self) -> float:
         """Sup over points of the spectral norm of the ball restriction.
 
@@ -201,7 +207,7 @@ def _column_search(
     whose Gram ``M^H M`` is on the row side, and past ``_GRAM_BLOCK``
     rows.  Only the maximal centers in ``groups`` (:func:`size_groups`)
     are searched; the caller passes every center that can win
-    (:func:`_column_bounds`).  Ties go to the smallest center.  Raises
+    (:func:`_inclusion_bounds`).  Ties go to the smallest center.  Raises
     :class:`ZeroOperator` when the operator kills every ball.
     """
     n, m = a.n, a.m
@@ -226,30 +232,52 @@ def _column_search(
     return int(centers[best]), float(norms[best])
 
 
-def _column_bounds(
-    a: BandedOperator,
-    index: BallIndex,
-    reached: np.ndarray,
+def _inclusion_bounds(
+    space: FiniteMetricSpace,
+    need: np.ndarray,
     wide: BallIndex,
     wide_norms: np.ndarray,
 ) -> np.ndarray:
-    """An upper bound on the column norm of each maximal ball of ``index``.
+    """An upper bound on the norm of each restriction that reads only the
+    points of a row of the boolean table ``need``.
 
-    The columns of ball x are zero outside its ``reached`` rows, so their
-    restriction is a submatrix of the block of any ball h of ``wide`` that
-    holds both ball x and those rows, and its norm is at most h's block
-    norm, ``wide_norms`` (as ``wide.maximal``).  The bound is the
-    smallest such block norm, or inf where no maximal ball of ``wide``
-    holds them.  Only set inclusion is used, so a distance table that
-    breaks the triangle inequality cannot make the bound wrong.
+    Such a restriction is a submatrix of the block of any ball h of
+    ``wide`` that holds those points, so its norm is at most h's block
+    norm, ``wide_norms`` (as ``wide.maximal``).  The bound is the smallest
+    such block norm, or inf where no maximal ball of ``wide`` holds them.
+    Only set inclusion is used, so a distance table that breaks the
+    triangle inequality cannot make the bound wrong.  A two-sided block
+    reads its ball; a column restriction reads its ball and the
+    :func:`_reached_rows`.
     """
-    dist = a.space.dist
-    need = (dist[index.maximal] <= index.radius) | reached
-    hosts = dist[wide.maximal] <= wide.radius
+    hosts = space.dist[wide.maximal] <= wide.radius
     # Counts below 2^24, so exact in float32.
     inside = need.astype(np.float32) @ hosts.T.astype(np.float32)
     holds = inside == need.sum(axis=1)[:, None]
     return np.where(holds, wide_norms, np.inf).min(axis=1)
+
+
+def _largest(
+    comp: BlockCompression, norms: np.ndarray, exact: np.ndarray
+) -> float:
+    """The largest maximal-ball block norm of ``comp``.
+
+    ``norms`` (as ``index.maximal``) holds block norms where ``exact`` is
+    set and upper bounds on them elsewhere.  Bounded blocks are factorized
+    largest bound first: those with the largest bound, then those whose
+    bound reaches the largest norm so far times ``1 - _PRUNE_SLACK``.  A
+    block whose bound falls short of that is below it, so it is left
+    bounded.  ``norms`` and ``exact`` are updated in place.
+    """
+    while True:
+        known = norms[exact].max(initial=0.0)
+        open_ = ~exact & (norms >= known * (1 - _PRUNE_SLACK))
+        if not open_.any():
+            return float(known)
+        if not exact.any():
+            open_ &= norms == norms[open_].max()
+        norms[open_] = comp._norms_of(open_)
+        exact |= open_
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,29 +368,43 @@ def localization_report(a: BandedOperator, radius: float) -> LocalizationReport:
     return _report_and_norms(a, radius)[0]
 
 
-def _report_and_norms(
-    a: BandedOperator, radius: float, norms: np.ndarray | None = None
-) -> tuple[LocalizationReport, np.ndarray]:
-    """The report and the norms of its maximal-ball blocks at ``radius``.
+def _chain(sigma_sq: float, sigma_col: float, sigma_wide: float) -> tuple:
+    """(``chain_ok``, ``chain_slack``) of the chain
+    ``sigma_sq <= sigma_col <= sigma_wide``: whether both links hold up to
+    ``CHAIN_TOL``, and the worst violation, 0.0 when there is none."""
+    ok = (
+        sigma_sq <= sigma_col + CHAIN_TOL
+        and sigma_col <= sigma_wide + CHAIN_TOL
+    )
+    slack = max(sigma_sq - sigma_col, sigma_col - sigma_wide, 0.0)
+    return bool(ok), float(slack)
 
-    ``norms``, when given, are those block norms already computed
-    (:meth:`BlockCompression.maximal_norms` of ``compress(a, radius)``).
-    The report takes every maximal block norm at S, then every maximal
-    block norm at S + R, then the column search.  The largest column norm
-    is at least ``sq``, the largest block norm at S, and each column norm
-    is at most its bound from the blocks at S + R
-    (:func:`_column_bounds`), so a center whose bound is below
-    ``sq * (1 - _PRUNE_SLACK)`` cannot win and is not factorized.  No
-    center is pruned where the wide ball is the whole space.
+
+def _report_and_norms(
+    a: BandedOperator, radius: float
+) -> tuple[LocalizationReport, np.ndarray, np.ndarray]:
+    """The report, and its maximal-ball block norms at ``radius`` as far
+    as it took them.
+
+    Returns ``(report, norms, exact)``, both arrays as ``index.maximal``:
+    ``norms`` holds the block norm where ``exact`` is set and an upper
+    bound on it elsewhere.  The report takes every maximal block norm at
+    S + R first.  Each block at S is a submatrix of the block of any
+    (S + R)-ball that holds its ball, which bounds its norm
+    (:func:`_inclusion_bounds`), so only the blocks that can be the
+    largest, ``sq``, are factorized (:func:`_largest`).  The column search
+    comes last.  The largest column norm is at least ``sq``, and each
+    column norm is at most its own bound from the blocks at S + R, so a
+    center whose bound is below ``sq * (1 - _PRUNE_SLACK)`` cannot win and
+    is not factorized.  Where the wide ball is the whole space, every block
+    at S is factorized and no center is pruned.
     """
     norm_a = operator_norm(a)
     if norm_a == 0.0:
         raise ZeroOperator("cannot profile the zero operator")
     prop = propagation(a)
     index = ball_index(a.space, radius)
-    if norms is None:
-        norms = compress(a, radius).maximal_norms()
-    sq = float(max(norms, default=0.0))
+    comp = compress(a, radius)
     reached = _reached_rows(a, index)
     reach = ball_index(a.space, radius + prop)
     groups = index.groups
@@ -373,17 +415,24 @@ def _report_and_norms(
         # The one maximal ball is the whole space, and its block is the
         # matrix that operator_norm factorized.
         wide = norm_a
+        norms = comp.maximal_norms()
+        exact = np.ones(norms.shape, dtype=bool)
+        sq = float(max(norms, default=0.0))
     else:
         wide_norms = compress(a, radius + prop).maximal_norms()
         wide = float(max(wide_norms, default=0.0))
-        bounds = _column_bounds(a, index, reached, reach, wide_norms)
+        balls = a.space.dist[index.maximal] <= radius
+        norms = _inclusion_bounds(a.space, balls, reach, wide_norms)
+        exact = np.zeros(norms.shape, dtype=bool)
+        sq = _largest(comp, norms, exact)
+        bounds = _inclusion_bounds(a.space, balls | reached, reach, wide_norms)
         can_win = bounds >= sq * (1 - _PRUNE_SLACK)
         groups = size_groups(index.balls, index.maximal[can_win])
     center, col = _column_search(a, index, reached, groups)
     sigma_sq = sq / norm_a
     sigma_col = col / norm_a
     sigma_wide = wide / norm_a
-    slack = max(sigma_sq - sigma_col, sigma_col - sigma_wide, 0.0)
+    chain_ok, chain_slack = _chain(sigma_sq, sigma_col, sigma_wide)
     report = LocalizationReport(
         space_name=a.space.name,
         n=a.n,
@@ -398,13 +447,10 @@ def _report_and_norms(
         sigma_col=sigma_col,
         sigma_sq_wide=sigma_wide,
         witness_center=center,
-        chain_ok=bool(
-            sigma_sq <= sigma_col + CHAIN_TOL
-            and sigma_col <= sigma_wide + CHAIN_TOL
-        ),
-        chain_slack=float(slack),
+        chain_ok=chain_ok,
+        chain_slack=chain_slack,
     )
-    return report, norms
+    return report, norms, exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -720,43 +766,59 @@ def _refine_ratio(
     band_radius: float,
     start: BandedOperator,
     start_ratio: float,
-    start_norms: np.ndarray,
+    start_norms: tuple,
     budget: int,
     rng: np.random.Generator,
 ) -> float:
     """Greedy coordinate descent pushing sigma_sq down from a start point.
 
     ``start_ratio`` is the start's own ``sigma_sq`` at ``loc_radius`` and
-    ``start_norms`` its maximal-ball block norms
-    (:meth:`BlockCompression.maximal_norms`).  A trial moves one entry
-    (y, z), which changes only the blocks of the maximal balls holding both
-    y and z; the other blocks keep their norms.  Since the largest of those
-    over the trial's norm is a floor on the trial's ratio, a trial whose
-    floor already fails the acceptance test is rejected without
-    factorizing any block, and any other trial factorizes only the changed
-    ones.  The result is the full recomputation's, bit for bit.
+    ``start_norms`` its ``(norms, exact)`` maximal-ball block norms, each
+    exact or bounded, as :func:`_report_and_norms` returns them.  A trial
+    moves one entry (y, z), which changes only the blocks of the maximal
+    balls holding both y and z; the other blocks keep their norms or
+    bounds.  Since the largest of those over the trial's norm is a floor
+    on the trial's ratio, a trial whose floor already fails the acceptance
+    test is rejected without factorizing a changed block.  A kept block
+    is factorized only where its bound does not settle that test, and
+    once a trial passes it, only where its bound reaches the trial's
+    largest norm (:func:`_largest`).  Each bound keeps a relative gap of
+    ``_PRUNE_SLACK``, so every comparison and the result are the full
+    recomputation's, bit for bit.
     """
     index = ball_index(space, loc_radius)
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
-    norms = start_norms
+    norms, exact = (array.copy() for array in start_norms)
     within = space.dist[index.maximal] <= loc_radius
 
     def ratio_of(d: np.ndarray, hit: np.ndarray, bar: float) -> tuple:
-        """(ratio, maximal-ball norms) of a trial, or (inf, None) when its
+        """(ratio, (norms, exact)) of a trial, or (inf, None) when its
         ratio cannot fall below ``bar``."""
+        rejected = np.inf, None
         op = BandedOperator(space, 1, d)
         norm_a = operator_norm(op)
         # Division by a positive float is monotone, so the ratio is at
         # least the kept blocks' largest norm over norm_a.
-        if norm_a == 0.0 or norms[~hit].max(initial=0.0) / norm_a >= bar:
-            return np.inf, None
-        _, values = compress(op, loc_radius)._norms(
-            size_groups(index.balls, index.maximal[hit])
-        )
+        kept = ~hit
+        floor = norms[kept & exact].max(initial=0.0)
+        if norm_a == 0.0 or floor / norm_a >= bar:
+            return rejected
+        comp = compress(op, loc_radius)
+        open_ = kept & ~exact & (norms / norm_a >= bar * (1 - _PRUNE_SLACK))
+        if open_.any():
+            # Kept blocks are the current operator's too.
+            norms[open_] = comp._norms_of(open_)
+            exact[open_] = True
+            if norms[open_].max() / norm_a >= bar:
+                return rejected
         out = norms.copy()
-        out[hit] = values
-        return float(max(out, default=0.0)) / norm_a, out
+        out[hit] = comp._norms_of(hit)
+        out_exact = exact | hit
+        if out[out_exact].max() / norm_a >= bar:
+            return rejected
+        # Every bounded block is below bar now, so the trial is accepted.
+        return _largest(comp, out, out_exact) / norm_a, (out, out_exact)
 
     best = start_ratio
     scale = float(np.abs(data).max()) or 1.0
@@ -776,7 +838,7 @@ def _refine_ratio(
                 cand, cand_norms = ratio_of(trial, hit, best - 1e-14)
                 evals += 1
                 if cand < best - 1e-14:
-                    best, data, norms = cand, trial, cand_norms
+                    best, data, (norms, exact) = cand, trial, cand_norms
                     improved = True
                     break
                 if evals >= budget:
@@ -807,10 +869,11 @@ def onl_profile(
     Requires 0 < band radius <= localization radius.
 
     ``_shared`` holds samples the caller has measured already, each as
-    (seed, operator, maximal-ball block norms at ``loc_radius``), drawn at
-    ``band_radius`` on ``space``.  A sample whose seed one of them matches
-    takes that operator and its norms instead of drawing and factorizing
-    them again (:func:`~normloc.duality.equivalence_experiment`).
+    (seed, operator, report, norms, exact), the last three from
+    :func:`_report_and_norms` at ``loc_radius``, drawn at ``band_radius``
+    on ``space``.  A sample whose seed one of them matches takes that
+    operator, report and norms instead of drawing and factorizing them
+    again (:func:`~normloc.duality.equivalence_experiment`).
     """
     if not 0 < band_radius <= loc_radius:
         raise InvalidRadii(
@@ -828,19 +891,22 @@ def onl_profile(
         raise InvalidParams(f"search budget must be >= 0, got {search_budget}")
     rng = np.random.default_rng(seed)
     sample_seeds = rng.integers(0, 2**63 - 1, size=samples)
-    shared = {s: (op, norms) for s, op, norms in _shared if op.space is space}
+    shared = {s: (op, *kept) for s, op, *kept in _shared if op.space is space}
     reports = []
     ops = []
     block_norms = []
     for s in sample_seeds:
         if s in shared:
-            op, norms = shared[s]
+            op, report, norms, exact = shared[s]
+            # Measured at a radius equal in value, which the report states
+            # as this profile does (a tree-ray certificate's is an int).
+            report = replace(report, loc_radius=loc_radius)
         else:
-            op, norms = random_banded(space, band_radius, int(s)), None
+            op = random_banded(space, band_radius, int(s))
+            report, norms, exact = _report_and_norms(op, loc_radius)
         ops.append(op)
-        report, norms = _report_and_norms(op, loc_radius, norms)
         reports.append(report)
-        block_norms.append(norms)
+        block_norms.append((norms, exact))
     ratios = np.array([r.sigma_sq for r in reports])
     worst_sample = float(ratios.min())
     adversarial = worst_sample

@@ -624,6 +624,22 @@ def test_equiv_run_deterministic(tmp_path, capsys):
     assert doc["kernel_checks"]["psd_ok"] is True
 
 
+def test_equiv_run_without_bound_samples_writes_null(tmp_path, capsys):
+    path = _space_file(tmp_path)
+    out = str(tmp_path / "e")
+    assert main(
+        ["equiv", "run", "--space", path, "--band-radius", "1",
+         "--loc-radius", "5", "--samples", "0", "--profile-samples", "1",
+         "--budget", "2", "--seed", "0", "--out", out]
+    ) == 0
+    capsys.readouterr()
+    text = open(out + ".json").read()
+    assert '"all_verified": null' in text
+    doc = json.loads(text)
+    assert doc["certified_bound_checks"] == {"samples": [], "all_verified": None}
+    assert len(doc["onl_profile"]["sample_seeds"]) == 1
+
+
 def test_named_tree_ray_certificate_needs_integer_radius(tmp_path, capsys):
     # one dispatch builds named certificates for both commands, and a
     # radius the tree-ray source cannot take is invalid data in each

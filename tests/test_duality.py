@@ -134,6 +134,24 @@ def test_onl_bound_inequalities_by_hand(c60):
         assert nl.compress(a, 10).norm() >= moved_norm - 1e-9
 
 
+@pytest.mark.parametrize(
+    "moved, loc, multiplier_ok, lower_bound_ok",
+    [
+        # epsilon * norm_a = 1 and (1 - epsilon) * norm_a = 6, up to rounding
+        (1.0, 6.0, True, True),
+        (1 + 0.5e-9, 6 - 0.5e-9, True, True),
+        (1 + 2e-9, 6.0, False, True),
+        (1.0, 6 - 2e-9, True, False),
+        (1 + 2e-9, 6 - 2e-9, False, False),
+    ],
+)
+def test_bound_checks_at_their_boundary(moved, loc, multiplier_ok, lower_bound_ok):
+    # epsilon = 1/7 and ||a|| = 7, the slack BOUND_CHECK_SLACK = 1e-9
+    assert nl.duality.BOUND_CHECK_SLACK == 1e-9
+    verdicts = nl.duality._bound_checks(7.0, moved, loc, 1 / 7)
+    assert verdicts == (multiplier_ok, lower_bound_ok)
+
+
 def test_onl_bound_spot_constant(c60):
     # the compression of the cycle adjacency at radius 10 is a path on 21
     # vertices, so its norm 2 cos(pi/22) must clear the certified floor 12/7
@@ -312,6 +330,39 @@ def test_equivalence_experiment_draws_each_shared_sample_once(
     assert rep.profile.to_json() == profile.to_json()
 
 
+def test_equivalence_experiment_without_bound_samples(c60):
+    # No bound sample is no evidence: all_verified stays None, and the
+    # search draws its own sample, the first of the seed's stream.
+    rep = nl.equivalence_experiment(
+        c60, 1, 10, samples=0, seed=3, profile_samples=1, search_budget=2
+    )
+    assert rep.bound.sample_checks == ()
+    assert rep.bound.all_verified is None
+    assert rep.bound._shared == ()
+    assert rep.profile is not None and len(rep.profile.sample_reports) == 1
+    alone = nl.onl_profile(
+        c60, 1, 10, samples=1, seed=3, search_budget=2,
+        certificate=_ball_cert(c60, 10),
+        probes=(("adjacency", nl.adjacency(c60)),),
+    )
+    assert rep.profile.to_json() == alone.to_json()
+
+
+def test_equivalence_experiment_shares_reports_only_with_a_search(c6):
+    # band radius 2 > loc radius 1: no search, so no sample is profiled
+    rep = nl.equivalence_experiment(
+        c6, 2, 1, samples=3, seed=0, profile_samples=3, search_budget=4
+    )
+    assert rep.profile is None and rep.bound._shared == ()
+    rep = nl.equivalence_experiment(
+        c6, 1, 2, samples=3, seed=0, profile_samples=2, search_budget=4
+    )
+    shared = rep.bound._shared
+    assert [s for s, *_ in shared] == [c["seed"] for c in rep.bound.sample_checks[:2]]
+    for (_, _, report, _, _), check in zip(shared, rep.bound.sample_checks):
+        assert check["compressed_norm"] == report.compressed_norm
+
+
 def test_equivalence_experiment_vacuous_still_completes(c6):
     rep = nl.equivalence_experiment(
         c6, 1, 1, certificate="ball", samples=5, seed=0,
@@ -329,6 +380,25 @@ def test_equivalence_experiment_tree_ray(btree6):
     )
     assert rep.certificate_summary["origin"] == "tree_ray"
     assert rep.kernel_report["psd_ok"]
+
+
+def test_shared_reports_state_the_profile_radius(btree6):
+    # A tree-ray certificate's radius is the int 4; the shared reports
+    # state the float radius the search was given, as a search alone does.
+    rep = nl.equivalence_experiment(
+        btree6, 1, 4.0, certificate="tree_ray", samples=3, seed=1,
+        profile_samples=2, search_budget=4,
+    )
+    assert rep.bound._shared[0][2].loc_radius == 4
+    alone = nl.onl_profile(
+        btree6, 1, 4.0, samples=2, seed=1, search_budget=4,
+        certificate=nl.subset_to_vector(nl.tree_ray_certificate(btree6, 4)),
+        probes=(("adjacency", nl.adjacency(btree6)),),
+    )
+    assert [r.to_json() for r in rep.profile.sample_reports] == [
+        r.to_json() for r in alone.sample_reports
+    ]
+    assert rep.profile.to_json() == alone.to_json()
 
 
 def test_equivalence_experiment_custom_certificate(c6):

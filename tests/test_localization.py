@@ -246,14 +246,16 @@ def test_column_bounds_hold_without_the_triangle_inequality():
     wide_norms = nl.compress(a, 2).maximal_norms()
     assert wide_norms.tolist() == [0.0, 3.0]
     reached = nl.localization._reached_rows(a, index)
-    bounds = nl.localization._column_bounds(a, index, reached, wide, wide_norms)
+    columns = (broken.dist[index.maximal] <= 1) | reached
+    bounds = nl.localization._inclusion_bounds(broken, columns, wide, wide_norms)
     assert bounds.tolist() == [np.inf, 3.0]
 
 
 def test_report_factorizes_only_the_columns_that_can_win(c60, monkeypatch):
     """Of the 60 column restrictions of a seeded operator on the 60-cycle
     at S = 10, only those whose bound reaches the largest block norm at S
-    are factorized, in one stack."""
+    are factorized, in one stack, after the blocks at S + 1 and the one
+    block at S that can be the largest."""
     stacks = []
     stack_values = nl.localization._top_values
 
@@ -264,9 +266,11 @@ def test_report_factorizes_only_the_columns_that_can_win(c60, monkeypatch):
     monkeypatch.setattr(nl.localization, "_top_values", recorded)
     a = nl.random_banded(c60, 1, seed=2)
     rep = nl.localization_report(a, 10)
-    # blocks at S, blocks at S + 1, the 3 column restrictions left
-    assert stacks == [(60, 21, 21), (60, 23, 23), (3, 21, 23)]
+    # blocks at S + 1, the block at S with the largest bound, the 3 column
+    # restrictions left
+    assert stacks == [(60, 23, 23), (1, 21, 21), (3, 21, 23)]
     assert (rep.witness_center, rep.column_norm) == literal_column_search(a, 10)
+    assert rep.compressed_norm == nl.compress(a, 10).norm()
 
 
 def test_whole_space_wide_ball_reuses_the_operator_norm(btree6):
@@ -289,13 +293,18 @@ def test_whole_space_wide_ball_past_dense_limit_keeps_compression():
 
 
 def test_report_factorization_counts(c60, btree6, monkeypatch):
-    """A report factorizes each distinct block once and no singular vector.
+    """A report factorizes each distinct block once, no singular vector,
+    and only the blocks at S whose bound can reach the largest.
 
-    On the 60-cycle at S = 10 the adjacency blocks repeat: 21 distinct
-    blocks at S, 23 blocks at S + 1, 23 column restrictions, and the
-    norm.  Each column restriction reads the 23 rows its 21 columns reach.
-    Every column bound ties, so none is pruned.  On the depth-6 tree at
-    S = 5 the wide ball is the whole space.
+    On the 60-cycle at S = 10 the adjacency blocks repeat: 23 blocks at
+    S + 1, the block at S with the largest bound, then the 59 others,
+    whose bounds tie it and which hold 20 more distinct blocks, 23 column
+    restrictions, and the norm.  Each column restriction reads the 23
+    rows its 21 columns reach.  Every column bound ties, so none is
+    pruned.  A seeded random operator there factorizes 65 matrices, 116
+    fewer than with every block and column: 1 block at S and 3 column
+    restrictions survive.  On the depth-6 tree at S = 5 the wide ball is
+    the whole space.
     """
     stacks = []
     stack_values = nl.localization._top_values
@@ -308,11 +317,46 @@ def test_report_factorization_counts(c60, btree6, monkeypatch):
     counts = count_factorizations(monkeypatch)
     nl.localization_report(nl.adjacency(c60), 10)
     assert counts == {"eigvalsh": 68, "eigh": 0}
-    # blocks at S, blocks at S + 1, column restrictions
-    assert stacks == [(60, 21, 21), (60, 23, 23), (60, 21, 23)]
+    # blocks at S + 1, blocks at S in two rounds, column restrictions
+    assert stacks == [(60, 23, 23), (1, 21, 21), (59, 21, 21), (60, 21, 23)]
+    counts.update(eigvalsh=0, eigh=0)
+    nl.localization_report(nl.random_banded(c60, 1, seed=2), 10)
+    assert counts == {"eigvalsh": 65, "eigh": 0}
     counts.update(eigvalsh=0, eigh=0)
     nl.localization_report(nl.adjacency(btree6), 5)
     assert counts == {"eigvalsh": 7, "eigh": 0}
+
+
+def _planar_points(n: int, seed: int) -> nl.FiniteMetricSpace:
+    """n seeded points in the unit square under Euclidean distance: a
+    float distance table."""
+    points = np.random.default_rng(seed).random((n, 2))
+    dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
+    return nl.FiniteMetricSpace(tuple(map(str, range(n))), dist, "planar")
+
+
+@pytest.mark.parametrize("space", ["broken16", "planar"])
+def test_block_bounds_hold_on_broken_and_float_tables(request, space):
+    """The report's bounds on the blocks at S are upper bounds, and its
+    largest block norm is the full compression's, bit for bit, on a table
+    that breaks the triangle inequality and on a float table."""
+    if space == "planar":
+        sp, band, radii = _planar_points(24, 3), 0.25, (0.2, 0.35, 0.5)
+    else:
+        sp, band, radii = request.getfixturevalue(space), 1, (1, 2)
+    pruned = 0
+    for seed in range(6):
+        a = nl.random_banded(sp, band, seed=seed)
+        for radius in radii:
+            rep, norms, exact = nl.localization._report_and_norms(a, radius)
+            full = nl.compress(a, radius).maximal_norms()
+            assert rep.compressed_norm == full.max()
+            assert np.array_equal(norms[exact], full[exact])
+            slack = 1 - nl.localization._PRUNE_SLACK
+            assert (norms[~exact] * slack < rep.compressed_norm).all()
+            assert (full[~exact] <= norms[~exact] * (1 + 1e-13)).all()
+            pruned += int((~exact).sum())
+    assert pruned > 0
 
 
 def test_repeated_reports_make_no_page_faults(c60):
@@ -325,6 +369,24 @@ def test_repeated_reports_make_no_page_faults(c60):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     nl.localization_report(a, 10)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+
+@pytest.mark.parametrize(
+    "sigmas, ok, slack",
+    [
+        ((0.5, 0.75, 1.0), True, 0.0),
+        # within CHAIN_TOL: holds, and the violation is still recorded
+        ((0.75 + 2**-40, 0.75, 1.0), True, 2**-40),
+        # one broken link each: sigma_sq above sigma_col, then sigma_col
+        # above sigma_wide
+        ((0.875, 0.75, 1.0), False, 0.125),
+        ((0.5, 1.0, 0.75), False, 0.25),
+        # both broken: the worse violation is the slack
+        ((1.0, 0.75, 0.625), False, 0.25),
+    ],
+)
+def test_chain_verdict_on_hand_made_chains(sigmas, ok, slack):
+    assert nl.localization._chain(*sigmas) == (ok, slack)
 
 
 @settings(max_examples=25, deadline=None)
@@ -547,6 +609,13 @@ def test_onl_profile_deterministic(c6):
     assert p1.worst_ratio <= min(r.sigma_sq for r in p1.sample_reports)
 
 
+_SMALL_SPACES = {
+    "regular12": ("random_regular", {"n": 12, "d": 3}, 1),
+    "c20": ("cycle", {"n": 20}, 0),
+    "grid5": ("grid", {"rows": 5, "cols": 5}, 0),
+}
+
+
 @pytest.mark.parametrize(
     "space, loc_radius, seed, budget, halves",
     [
@@ -554,29 +623,41 @@ def test_onl_profile_deterministic(c6):
         ("btree6", 5, 1, 150, False),
         ("grid8", 5, 2, 150, False),
         ("regular12", 1, 0, 900, True),
+        # trials that factorize kept blocks: for the floor test (all
+        # three) and for an accepted trial's largest norm (grid5)
+        ("c20", 5, 2, 120, False),
+        ("c60", 10, 1, 120, False),
+        ("grid5", 1, 1, 120, False),
     ],
 )
 def test_refinement_matches_literal_route(
     request, space, loc_radius, seed, budget, halves
 ):
-    """Refining from maximal-ball norms reproduces full recomputation.
+    """Refining from maximal-ball norms, exact or bounded, reproduces full
+    recomputation.
 
     Same start, same rng state: the refined ratio and the rng state
     afterwards agree bit for bit, after accepted moves and, on the small
     graph, a step halving.
     """
-    if space == "regular12":
-        sp = nl.generate_family("random_regular", {"n": 12, "d": 3}, seed=1)
+    if space in _SMALL_SPACES:
+        kind, params, graph_seed = _SMALL_SPACES[space]
+        sp = nl.generate_family(kind, params, seed=graph_seed)
     else:
         sp = request.getfixturevalue(space)
     start = nl.random_banded(sp, 1, seed)
-    report, norms = nl.localization._report_and_norms(start, loc_radius)
+    report, norms, exact = nl.localization._report_and_norms(start, loc_radius)
     assert report.sigma_sq == nl.localization_report(start, loc_radius).sigma_sq
-    assert np.array_equal(norms, nl.compress(start, loc_radius).maximal_norms())
+    full = nl.compress(start, loc_radius).maximal_norms()
+    assert np.array_equal(norms[exact], full[exact])
+    # The start is partly bounded except where the wide ball is the whole
+    # space (the tree at S = 5).
+    assert exact.all() == (space == "btree6")
     rng_lib = np.random.default_rng(seed + 100)
     rng_lit = np.random.default_rng(seed + 100)
     got = nl.localization._refine_ratio(
-        sp, loc_radius, 1, start, report.sigma_sq, norms, budget, rng_lib
+        sp, loc_radius, 1, start, report.sigma_sq, (norms, exact), budget,
+        rng_lib,
     )
     want, accepted, halvings = literal_refine_ratio(
         sp, loc_radius, 1, start, report.sigma_sq, budget, rng_lit
