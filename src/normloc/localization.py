@@ -43,7 +43,9 @@ from .space import (
     BallIndex,
     FiniteMetricSpace,
     _fields_json,
+    _holders,
     _integer,
+    ball_cover,
     ball_index,
     largest_distance,
     size_groups,
@@ -165,9 +167,22 @@ class BlockCompression:
         """Sup over points of the spectral norm of the ball restriction.
 
         A block of a sub-ball is a submatrix of the block of the larger
-        ball, so only the inclusion-maximal balls are factorized.
+        ball, so only the inclusion-maximal balls are factorized, and of
+        those only the ones that can be the largest.  Where the space has
+        a :func:`ball_cover` at S + R, R the propagation, the cover's
+        blocks are factorized, each maximal block is bounded by the cover
+        blocks whose balls hold its ball (:func:`_inclusion_bounds`), and
+        :func:`_largest` factorizes the blocks that can be the largest.
+        Elsewhere every maximal block is factorized.  Either way the value
+        is the largest maximal block norm, bit for bit.
         """
-        return float(max(self.maximal_norms(), default=0.0))
+        a = self.source
+        cover = ball_cover(a.space, self.radius, self.radius + propagation(a))
+        if cover is None:
+            return float(max(self.maximal_norms(), default=0.0))
+        wide = compress(a, cover.wide.radius)
+        bounds = _inclusion_bounds(cover.holds, wide._norms(cover.groups)[1])
+        return _largest(self, bounds, np.zeros(bounds.shape, dtype=bool))
 
 
 def compress(a: BandedOperator, radius: float) -> BlockCompression:
@@ -232,29 +247,21 @@ def _column_search(
     return int(centers[best]), float(norms[best])
 
 
-def _inclusion_bounds(
-    space: FiniteMetricSpace,
-    need: np.ndarray,
-    wide: BallIndex,
-    wide_norms: np.ndarray,
-) -> np.ndarray:
+def _inclusion_bounds(holds: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """An upper bound on the norm of each restriction that reads only the
-    points of a row of the boolean table ``need``.
+    points of one row of a boolean table, given which blocks hold them.
 
-    Such a restriction is a submatrix of the block of any ball h of
-    ``wide`` that holds those points, so its norm is at most h's block
-    norm, ``wide_norms`` (as ``wide.maximal``).  The bound is the smallest
-    such block norm, or inf where no maximal ball of ``wide`` holds them.
-    Only set inclusion is used, so a distance table that breaks the
-    triangle inequality cannot make the bound wrong.  A two-sided block
-    reads its ball; a column restriction reads its ball and the
+    ``holds`` is the :func:`~normloc.space._holders` table of those rows
+    against some balls, and ``norms`` the norms of those balls' blocks.  A
+    restriction is a submatrix of the block of any ball that holds its
+    points, so its norm is at most that block's norm.  The bound is the
+    smallest such block norm, or inf where no ball holds them.  Only set
+    inclusion is used, so a distance table that breaks the triangle
+    inequality cannot make the bound wrong.  A two-sided block reads its
+    ball; a column restriction reads its ball and the
     :func:`_reached_rows`.
     """
-    hosts = space.dist[wide.maximal] <= wide.radius
-    # Counts below 2^24, so exact in float32.
-    inside = need.astype(np.float32) @ hosts.T.astype(np.float32)
-    holds = inside == need.sum(axis=1)[:, None]
-    return np.where(holds, wide_norms, np.inf).min(axis=1)
+    return np.where(holds, norms, np.inf).min(axis=1)
 
 
 def _largest(
@@ -422,10 +429,12 @@ def _report_and_norms(
         wide_norms = compress(a, radius + prop).maximal_norms()
         wide = float(max(wide_norms, default=0.0))
         balls = a.space.dist[index.maximal] <= radius
-        norms = _inclusion_bounds(a.space, balls, reach, wide_norms)
+        norms = _inclusion_bounds(_holders(a.space, balls, reach), wide_norms)
         exact = np.zeros(norms.shape, dtype=bool)
         sq = _largest(comp, norms, exact)
-        bounds = _inclusion_bounds(a.space, balls | reached, reach, wide_norms)
+        bounds = _inclusion_bounds(
+            _holders(a.space, balls | reached, reach), wide_norms
+        )
         can_win = bounds >= sq * (1 - _PRUNE_SLACK)
         groups = size_groups(index.balls, index.maximal[can_win])
     center, col = _column_search(a, index, reached, groups)

@@ -12,6 +12,7 @@ metric-axiom validation live here as well.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from collections import defaultdict
@@ -49,7 +50,8 @@ class FiniteMetricSpace:
     syntactically valid but metrically broken tables can be built and then
     fed to :func:`validate_metric`.  The distance table is copied and
     frozen.  The space keeps the ball indexes
-    built on it, one per radius (see :func:`ball_index`).
+    built on it, one per radius (see :func:`ball_index`), and its ball
+    covers, one per radius pair (see :func:`ball_cover`).
     """
 
     labels: tuple[str, ...]
@@ -81,6 +83,7 @@ class FiniteMetricSpace:
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "dist", table)
         object.__setattr__(self, "_ball_indexes", {})
+        object.__setattr__(self, "_ball_covers", {})
 
     @property
     def n(self) -> int:
@@ -182,6 +185,99 @@ def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
     index = BallIndex(radius, balls, maximal, groups)
     space._ball_indexes[radius] = index
     return index
+
+
+def _holders(
+    space: FiniteMetricSpace, need: np.ndarray, wide: BallIndex
+) -> np.ndarray:
+    """(rows of ``need``, ``wide.maximal``) table: whether each maximal
+    ball of ``wide`` holds every point of each row of the boolean table
+    ``need``.
+
+    Only set inclusion is read, so a distance table that breaks the
+    triangle inequality cannot make an entry wrong.
+    """
+    hosts = space.dist[wide.maximal] <= wide.radius
+    # Counts below 2^24, so exact in float32.
+    inside = need.astype(np.float32) @ hosts.T.astype(np.float32)
+    return inside == need.sum(axis=1)[:, None]
+
+
+@dataclass(frozen=True, eq=False)
+class BallCover:
+    """Maximal balls of ``wide`` that together hold every maximal ball of
+    a smaller radius.
+
+    ``centers`` lists them in increasing order and ``groups`` splits them
+    by ball size (:func:`size_groups`).  ``holds[i, j]`` is set when the
+    ball around ``centers[j]`` holds the i-th maximal ball of the smaller
+    radius (:func:`_holders`).
+    """
+
+    wide: BallIndex
+    centers: np.ndarray
+    groups: tuple
+    holds: np.ndarray
+
+
+def ball_cover(
+    space: FiniteMetricSpace, radius: float, wide_radius: float
+) -> BallCover | None:
+    """A cover of the maximal balls of ``radius`` by maximal balls of
+    ``wide_radius``, or None where it would not pay.
+
+    The cover is greedy: it takes the maximal wide ball that holds the
+    most maximal balls not yet held, ties to the smallest center, until
+    every one is held.  A block of side p costs about p^3 to factorize, so
+    the cover is kept only when the sum of its balls' sizes cubed is below
+    that of the maximal balls of ``radius``; a slot count multiplies both
+    sums alike.  A wide radius below ``radius`` can leave a ball unheld,
+    and then there is no cover.  The space keeps the result, so each
+    radius pair is covered once.
+    """
+    key = radius, wide_radius
+    if key in space._ball_covers:
+        return space._ball_covers[key]
+    index = ball_index(space, radius)
+    wide = ball_index(space, wide_radius)
+    holds = _holders(space, space.dist[index.maximal] <= radius, wide)
+    # Bit i of held[j]: wide ball j holds ball i.  A wide ball's count of
+    # balls not yet held only falls, so a popped count that is still
+    # current is the largest, and on ties the heap pops the smallest
+    # center first.
+    sets = np.packbits(holds.T, axis=1, bitorder="little")
+    width, raw = sets.shape[1], sets.tobytes()
+    held = [
+        int.from_bytes(raw[j * width : (j + 1) * width], "little")
+        for j in range(len(sets))
+    ]
+    heap = [(-bits.bit_count(), j) for j, bits in enumerate(held)]
+    heapq.heapify(heap)
+    left = (1 << len(holds)) - 1
+    chosen = []
+    while left and heap:
+        count, j = heapq.heappop(heap)
+        now = (held[j] & left).bit_count()
+        if now == -count:
+            chosen.append(j)
+            left &= ~held[j]
+        elif now:
+            heapq.heappush(heap, (-now, j))
+    chosen.sort()
+    centers = wide.maximal[chosen]
+    cost = sum(len(wide.balls[x]) ** 3 for x in centers.tolist())
+    cover = None
+    if not left and cost < sum(
+        len(index.balls[x]) ** 3 for x in index.maximal.tolist()
+    ):
+        groups = size_groups(wide.balls, centers)
+        holds = holds[:, chosen]
+        # Every caller shares the kept cover, so its arrays are read-only.
+        for arr in (centers, *groups, holds):
+            arr.setflags(write=False)
+        cover = BallCover(wide, centers, groups, holds)
+    space._ball_covers[key] = cover
+    return cover
 
 
 def geometry_profile(space: FiniteMetricSpace, radius: float) -> GeometryProfile:

@@ -97,6 +97,28 @@ def maximal_ball_centers(space, radius: float) -> list:
     ]
 
 
+def literal_ball_cover(space, radius: float, wide_radius: float) -> list:
+    """Greedy cover by set comparison: the maximal ball of ``wide_radius``
+    that holds the most maximal balls of ``radius`` not yet held, ties to
+    the smallest center, until every one is held.  Returns the chosen
+    centers in increasing order."""
+
+    def ball_set(x, r):
+        return frozenset(np.flatnonzero(space.dist[x] <= r).tolist())
+
+    left = [ball_set(x, radius) for x in maximal_ball_centers(space, radius)]
+    hosts = {
+        c: ball_set(c, wide_radius)
+        for c in maximal_ball_centers(space, wide_radius)
+    }
+    chosen = []
+    while left:
+        best = max(hosts, key=lambda c: (sum(b <= hosts[c] for b in left), -c))
+        chosen.append(best)
+        left = [b for b in left if not b <= hosts[best]]
+    return sorted(chosen)
+
+
 def identity(space):
     """The single-slot identity operator."""
     return nl.BandedOperator(space, 1, np.eye(space.n))
@@ -187,7 +209,7 @@ def literal_refine_ratio(
 
     Returns ``(best ratio, accepted moves, step halvings)``.  Same moves,
     same rng draws and same acceptance test as the library's refinement,
-    but each trial recomputes the compression norm over every maximal ball.
+    but each trial factorizes the block of every maximal ball.
     """
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
@@ -197,7 +219,9 @@ def literal_refine_ratio(
         norm_a = nl.operator_norm(op)
         if norm_a == 0.0:
             return np.inf
-        return nl.compress(op, loc_radius).norm() / norm_a
+        # Every maximal block, so the oracle shares no pruning with norm().
+        norms = nl.compress(op, loc_radius).maximal_norms()
+        return float(max(norms, default=0.0)) / norm_a
 
     best = start_ratio
     accepted = halvings = 0

@@ -11,6 +11,7 @@ from helpers import (
     count_factorizations,
     dense_norm,
     identity,
+    literal_ball_subsets,
     literal_kernel_from_cp_map,
     literal_schur_multiply,
 )
@@ -236,6 +237,52 @@ def test_cb_norm_check_consistent(c6):
     assert rep.to_json() == rerun.to_json()
 
 
+def test_cb_norm_check_takes_the_worst_of_differing_samples(c60):
+    """Each ratio is the operator norm over the largest maximal block norm
+    at S = 3, where norm() takes its cover; the report keeps the largest
+    ratios and the smallest reduction fraction of samples that differ."""
+    rep = nl.sampled_cb_norm_check(c60, 1, 3, amplification=2, samples=3, seed=0)
+    seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=(3, 2))
+
+    def literal_ratio(a):
+        return nl.operator_norm(a) / max(nl.compress(a, 3).maximal_norms())
+
+    for (s_scalar, s_amp), scalar, amplified in zip(
+        seeds, rep.scalar_ratios, rep.amplified_ratios
+    ):
+        assert scalar == literal_ratio(nl.random_banded(c60, 1, int(s_scalar)))
+        amp = nl.random_banded(c60, 1, int(s_amp), m=2)
+        assert amplified == literal_ratio(amp)
+    for worst, values, pick in (
+        (rep.scalar_ratio_raw, rep.scalar_ratios, max),
+        (rep.amplified_ratio, rep.amplified_ratios, max),
+        (rep.min_reduction_fraction, rep.reduction_fractions, min),
+    ):
+        assert min(values) < max(values)
+        assert worst == pick(values)
+
+
+def test_onl_bound_epsilon_without_an_exact_gram(grid8):
+    """Ball sizes differ across the 8x8 grid, so its ball certificate has
+    no exact Gram and epsilon is the float product kappa * deficit, each
+    factor counted from the balls by hand."""
+    cert = _ball_cert(grid8, 3)
+    assert cert.exact_gram is None
+    bound = nl.a_implies_onl_bound(cert, 1)
+    balls = literal_ball_subsets(grid8, 3)
+    kappa = max(int((grid8.dist[x] <= 1).sum()) for x in range(grid8.n))
+    deficit = max(
+        1 - len(balls[y] & balls[z]) / math.sqrt(len(balls[y]) * len(balls[z]))
+        for y, z in np.argwhere(grid8.dist <= 1)
+    )
+    assert bound.kappa == kappa == 5
+    assert 0 < deficit < 1
+    assert bound.gram_deficit == pytest.approx(deficit, rel=1e-12)
+    assert bound.epsilon == bound.kappa * bound.gram_deficit
+    assert bound.epsilon == pytest.approx(kappa * deficit, rel=1e-12)
+    assert bound.epsilon_exact is None
+
+
 def test_cb_norm_check_radii_validation(c6):
     with pytest.raises(nl.InvalidRadii):
         nl.sampled_cb_norm_check(c6, 3, 2, amplification=2, samples=2)
@@ -273,8 +320,9 @@ def test_equivalence_experiment_measures_the_first_sample_once(
 ):
     # The bound's first operator is the search's first one: seed 7 gives
     # both the child seed 5765488047046174020.  Run apart, bound, search
-    # and the kernel check factorize 61 matrices more than the experiment:
-    # that operator's norm and its 60 blocks at S = 10.
+    # and the kernel check factorize more matrices than the experiment by
+    # what the unshared bound spends on that operator alone: its norm and
+    # its compressed norm at S = 10, counted here on a fresh copy.
     cert = _ball_cert(c60, 10)
     probes = (("adjacency", nl.adjacency(c60)),)
     counts = count_factorizations(monkeypatch)
@@ -283,13 +331,19 @@ def test_equivalence_experiment_measures_the_first_sample_once(
     )
     together = counts["eigvalsh"]
     counts.update(eigvalsh=0)
+    first = nl.random_banded(c60, 1, seed=5765488047046174020)
+    nl.operator_norm(first)
+    nl.compress(first, 10).norm()
+    once = counts["eigvalsh"]
+    assert 1 < once < 61
+    counts.update(eigvalsh=0)
     bound = nl.a_implies_onl_bound(cert, 1, samples=2, seed=7)
     profile = nl.onl_profile(
         c60, 1, 10, samples=1, seed=7, search_budget=4, certificate=cert,
         probes=probes,
     )
     nl.kernel_checks(nl.kernel_from_cp_map(cert))
-    assert counts["eigvalsh"] - together == 61
+    assert counts["eigvalsh"] - together == once
     assert counts["eigh"] == 0
     assert bound.sample_checks[0]["seed"] == profile.sample_seeds[0]
     assert profile.sample_seeds == (5765488047046174020,)

@@ -14,6 +14,7 @@ from helpers import (
     count_factorizations,
     dense_norm,
     identity,
+    literal_ball_cover,
     literal_column_search,
     literal_refine_ratio,
     naive_column_norm,
@@ -247,7 +248,8 @@ def test_column_bounds_hold_without_the_triangle_inequality():
     assert wide_norms.tolist() == [0.0, 3.0]
     reached = nl.localization._reached_rows(a, index)
     columns = (broken.dist[index.maximal] <= 1) | reached
-    bounds = nl.localization._inclusion_bounds(broken, columns, wide, wide_norms)
+    holds = nl.space._holders(broken, columns, wide)
+    bounds = nl.localization._inclusion_bounds(holds, wide_norms)
     assert bounds.tolist() == [np.inf, 3.0]
 
 
@@ -357,6 +359,124 @@ def test_block_bounds_hold_on_broken_and_float_tables(request, space):
             assert (full[~exact] <= norms[~exact] * (1 + 1e-13)).all()
             pruned += int((~exact).sum())
     assert pruned > 0
+
+
+@pytest.mark.parametrize(
+    "space, band, radius, m",
+    [("c60", 1, radius, m) for m in (1, 2) for radius in (3, 5, 10)]
+    + [
+        ("grid8", 1, 2, 1),
+        ("grid8", 1, 5, 1),
+        ("btree6", 1, 5, 1),
+        ("broken16", 1, 2, 1),
+        ("broken16", 1, 3, 1),
+        ("broken16", 2, 2, 1),
+        ("planar", 0.25, 0.35, 1),
+        ("planar", 0.1, 0.5, 1),
+    ],
+)
+def test_norm_is_the_largest_maximal_block_norm(request, space, band, radius, m):
+    """norm() factorizes a cover's blocks and only the blocks that can be
+    the largest, yet returns the largest maximal block norm bit for bit."""
+    if space == "planar":
+        sp = _planar_points(24, 3)
+    else:
+        sp = request.getfixturevalue(space)
+    for seed in range(3):
+        comp = nl.compress(nl.random_banded(sp, band, seed, m=m), radius)
+        assert comp.norm() == max(comp.maximal_norms())
+
+
+def test_norm_of_operators_with_zero_blocks(c60):
+    """A zero and a diagonal operator have propagation 0, so no cover; an
+    operator that couples only points 25 apart vanishes on every 10-ball
+    but not on its cover's one ball, the whole space."""
+    zero = nl.BandedOperator(c60, 1, np.zeros((60, 60)))
+    diagonal = nl.BandedOperator(c60, 1, np.diag(np.arange(1.0, 61.0)))
+    far = nl.BandedOperator(c60, 1, np.roll(np.eye(60), 25, axis=1))
+    assert nl.propagation(zero) == nl.propagation(diagonal) == 0
+    assert nl.space.ball_cover(c60, 10, 10) is None
+    assert nl.space.ball_cover(c60, 10, 35).centers.tolist() == [0]
+    for a in (zero, diagonal, far):
+        for radius in (3, 10):
+            comp = nl.compress(a, radius)
+            assert comp.norm() == max(comp.maximal_norms())
+    assert nl.compress(far, 10).norm() == 0.0
+    assert abs(nl.compress(diagonal, 3).norm() - 60.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "space, radius, wide",
+    [
+        ("c60", 10, 11),
+        ("c60", 3, 5),
+        ("c60", 3, 6),
+        ("grid8", 2, 3),
+        ("grid8", 4, 5),
+        ("grid8", 5, 6),
+        ("btree6", 2, 3),
+        ("btree6", 5, 6),
+        ("broken16", 1, 2),
+        ("broken16", 2, 4),
+        ("broken16", 3, 4),
+    ],
+)
+def test_ball_cover_holds_every_maximal_ball(request, space, radius, wide):
+    """The cover is the literal greedy one, holds every maximal ball, and
+    is kept only where its sizes cubed sum below the maximal balls'."""
+    sp = request.getfixturevalue(space)
+    index = nl.ball_index(sp, radius)
+    centers = literal_ball_cover(sp, radius, wide)
+    inside = sp.dist[index.maximal] <= radius
+    hosts = sp.dist[centers] <= wide
+    holds = (inside[:, None, :] <= hosts[None, :, :]).all(axis=2)
+    assert holds.any(axis=1).all()
+    cost = sum(int((sp.dist[c] <= wide).sum()) ** 3 for c in centers)
+    plain = sum(int(inside_row.sum()) ** 3 for inside_row in inside)
+    cover = nl.space.ball_cover(sp, radius, wide)
+    assert nl.space.ball_cover(sp, radius, wide) is cover
+    if cost >= plain:
+        assert cover is None
+        return
+    assert cover.centers.tolist() == centers
+    assert np.array_equal(cover.holds, holds)
+    assert [g.tolist() for g in cover.groups] == [
+        g.tolist() for g in nl.space.size_groups(cover.wide.balls, centers)
+    ]
+
+
+def test_ball_cover_ties_go_to_the_smallest_center(c60, grid8, btree6):
+    # Every 11-ball of the 60-cycle holds three 10-balls, so the greedy
+    # cover takes every third center from 0.
+    assert nl.space.ball_cover(c60, 10, 11).centers.tolist() == list(
+        range(0, 60, 3)
+    )
+    # The grid's 3-balls cost more than its 2-balls; the tree's one 6-ball
+    # is the whole space.
+    assert nl.space.ball_cover(grid8, 2, 3) is None
+    assert nl.space.ball_cover(btree6, 5, 6) is None
+
+
+def test_norm_factorizes_the_cover_and_the_blocks_that_can_win(
+    c60, monkeypatch
+):
+    """On the 60-cycle at S = 10 a seeded operator's norm factorizes the
+    20 cover blocks at S + 1, then the 3 blocks at S whose bound is the
+    largest: 23 matrices where every maximal block is 60."""
+    counts = count_factorizations(monkeypatch)
+    stacks = []
+    stack_values = nl.localization._top_values
+
+    def recorded(stack, rows):
+        stacks.append(stack.shape)
+        return stack_values(stack, rows)
+
+    monkeypatch.setattr(nl.localization, "_top_values", recorded)
+    comp = nl.compress(nl.random_banded(c60, 1, seed=2), 10)
+    norm = comp.norm()
+    assert stacks == [(20, 23, 23), (3, 21, 21)]
+    assert counts == {"eigvalsh": 23, "eigh": 0}
+    assert norm == max(comp.maximal_norms())
 
 
 def test_repeated_reports_make_no_page_faults(c60):
