@@ -15,6 +15,7 @@ from .certificates import (
     certificate_to_json,
     kernel_checks,
     kernel_deviation,
+    schur_test_kappa,
     subset_to_vector,
     tree_ray_certificate,
 )
@@ -27,7 +28,6 @@ from .duality import (
     kernel_from_cp_map,
     phi_apply,
     sampled_cb_norm_check,
-    schur_test_kappa,
 )
 from .errors import (
     ConvergenceFailure,

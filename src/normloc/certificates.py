@@ -18,6 +18,7 @@ pin to exact rational values are computed from those counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +39,7 @@ from .space import (
     _integer,
     _number,
     _records,
+    geometry_profile,
     largest_distance,
     space_from_json,
     space_to_json,
@@ -177,6 +179,47 @@ class VectorCertificate:
             np.fill_diagonal(g, 1.0)
         g.setflags(write=False)
         return g
+
+
+def schur_test_kappa(space: FiniteMetricSpace, radius: float) -> int:
+    """Largest ball size at the radius; the Schur-test band constant.
+
+    For an operator of propagation at most the radius, every row and column
+    has at most this many nonzero entries, so the operator norm is at most
+    kappa times the largest entry magnitude.
+    """
+    return geometry_profile(space, radius).max_ball
+
+
+def band_epsilon(certificate: VectorCertificate, band_radius: float) -> dict:
+    """The Schur-test terms of the certificate's bound on the band, keyed
+    as :class:`~normloc.duality.OnlBound` names them.
+
+    ``kappa`` is the largest band ball, ``gram_deficit`` the worst |1 -
+    Gram| over the band, epsilon = kappa * deficit, and ``vacuous`` flags
+    epsilon >= 1 or NaN.  The ``_exact`` terms are Fractions when the
+    certificate keeps its Gram rational; ``epsilon`` is then rounded from
+    the exact value.
+    """
+    if not band_radius >= 0:
+        raise InvalidRadii(f"band radius must be >= 0, got {band_radius}")
+    space = certificate.space
+    band = space.dist <= band_radius
+    deficit = float(np.abs(1.0 - certificate.gram[band]).max())
+    kappa = schur_test_kappa(space, band_radius)
+    deficit_exact = epsilon_exact = None
+    epsilon = kappa * deficit
+    if certificate.exact_gram is not None:
+        # Gram entries of unit vectors are at most 1, so the worst shortfall
+        # on the band is 1 minus the smallest entry there.
+        counts, size = certificate.exact_gram
+        deficit_exact = Fraction(size - int(counts[band].min()), size)
+        epsilon_exact = kappa * deficit_exact
+        epsilon = float(epsilon_exact)
+    return dict(
+        kappa=kappa, gram_deficit=deficit, gram_deficit_exact=deficit_exact,
+        epsilon=epsilon, epsilon_exact=epsilon_exact, vacuous=not epsilon < 1,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -235,7 +235,7 @@ def cmd_cert_check(args) -> int:
     if args.band_radius is not None:
         if vector is None:
             # A kernel document carries no vectors: read its band table.
-            kappa = duality.schur_test_kappa(kernel.space, args.band_radius)
+            kappa = certs.schur_test_kappa(kernel.space, args.band_radius)
             deficit = certs.kernel_deviation(kernel, args.band_radius)
             epsilon, epsilon_exact = kappa * deficit, None
         else:

@@ -22,7 +22,7 @@ forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +30,7 @@ import numpy as np
 from .certificates import (
     KernelCertificate,
     VectorCertificate,
+    band_epsilon,
     kernel_checks,
     named_certificate,
     subset_to_vector,
@@ -58,7 +59,6 @@ from .space import (
     FiniteMetricSpace,
     _fields_json,
     _integer,
-    geometry_profile,
     largest_distance,
 )
 
@@ -96,28 +96,13 @@ def phi_apply(
     return BandedOperator(source.space, source.m, weights * source.data)
 
 
-def schur_test_kappa(space: FiniteMetricSpace, radius: float) -> int:
-    """Largest ball size at the radius; the Schur-test band constant.
-
-    For an operator of propagation at most the radius, every row and column
-    has at most this many nonzero entries, so the operator norm is at most
-    kappa times the largest entry magnitude.
-    """
-    return geometry_profile(space, radius).max_ball
-
-
 @dataclass(frozen=True, eq=False)
 class OnlBound:
     """Certified localization bound from one certificate on one band.
 
-    ``gram_deficit`` is the float worst-case |1 - Gram| over the band; the
-    exact fields carry Fractions when the certificate kept its Gram matrix
-    rational, and ``epsilon`` is then rounded from the exact value.
-    ``vacuous`` flags epsilon >= 1, where the bound says nothing, and a NaN
-    epsilon.  ``_shared`` keeps the first sampled operators as (seed,
-    operator, report, norms, exact), the last three from
-    :func:`~normloc.localization._report_and_norms` at the certificate
-    radius, for :func:`equivalence_experiment`; no output reads it.
+    The fields from ``kappa`` to ``vacuous`` are
+    :func:`~normloc.certificates.band_epsilon`'s; a vacuous bound says
+    nothing.
     """
 
     space_name: str
@@ -131,10 +116,9 @@ class OnlBound:
     vacuous: bool
     sample_checks: tuple
     all_verified: bool | None
-    _shared: tuple = field(default=(), repr=False)
 
     def to_json(self) -> dict:
-        return _fields_json(self, "_shared")
+        return _fields_json(self)
 
 
 def _bound_checks(
@@ -155,56 +139,39 @@ def a_implies_onl_bound(
     samples: int = 0,
     seed: int = 0,
     *,
-    _share: int = 0,
+    _measured: tuple = (),
 ) -> OnlBound:
     """Quantitative lower bound on compression norms from a certificate.
 
-    Computes kappa (largest band ball), the Gram deficit on the band, and
-    epsilon = kappa * deficit.  With ``samples`` > 0, seeded Gaussian
-    operators in the band are drawn and both conclusions are verified
-    numerically: the multiplier moves a by at most epsilon * ||a||, and the
-    compressed norm is at least (1 - epsilon) * ||a||, each with additive
-    ``BOUND_CHECK_SLACK`` for the floating-point norms
-    (:func:`_bound_checks`).  The first ``_share`` samples are profiled
-    (:func:`~normloc.localization._report_and_norms`), their compressed
-    norm is their report's, and they are kept for
-    :func:`equivalence_experiment`.
+    Takes kappa (largest band ball), the Gram deficit on the band, and
+    epsilon = kappa * deficit from :func:`~normloc.certificates.band_epsilon`.
+    With ``samples`` > 0, seeded Gaussian operators in the band are drawn
+    and both conclusions are verified numerically: the multiplier moves a
+    by at most epsilon * ||a||, and the compressed norm is at least (1 -
+    epsilon) * ||a||, each with additive ``BOUND_CHECK_SLACK`` for the
+    floating-point norms (:func:`_bound_checks`).  The first samples take
+    their operator and compressed norm from ``_measured``, the
+    (operator, report, norms, exact) of :func:`equivalence_experiment`.
     """
-    if not band_radius >= 0:
-        raise InvalidRadii(f"band radius must be >= 0, got {band_radius}")
+    terms = band_epsilon(certificate, band_radius)
     if samples < 0:
         raise InvalidParams(f"sample count must be >= 0, got {samples}")
     space = certificate.space
-    gram = certificate.gram
-    band = space.dist <= band_radius
-    deficit = float(np.abs(1.0 - gram[band]).max())
-    kappa = schur_test_kappa(space, band_radius)
-    deficit_exact = epsilon_exact = None
-    epsilon = kappa * deficit
-    if certificate.exact_gram is not None:
-        # Gram entries of unit vectors are at most 1, so the worst shortfall
-        # on the band is 1 minus the smallest entry there.
-        counts, size = certificate.exact_gram
-        deficit_exact = Fraction(size - int(counts[band].min()), size)
-        epsilon_exact = kappa * deficit_exact
-        epsilon = float(epsilon_exact)
+    epsilon = terms["epsilon"]
     checks = []
     all_verified: bool | None = None
-    shared = []
     if samples > 0:
         rng = np.random.default_rng(seed)
         child_seeds = rng.integers(0, 2**63 - 1, size=samples)
-        for s in child_seeds:
-            a = random_banded(space, band_radius, int(s))
+        for i, s in enumerate(child_seeds):
+            if i < len(_measured):
+                a, report = _measured[i][:2]
+            else:
+                a, report = random_banded(space, band_radius, int(s)), None
             norm_a = operator_norm(a)
             compressed = compress(a, certificate.radius)
             moved = operator_norm(a - phi_apply(certificate, compressed))
-            if len(shared) < _share:
-                measured = _report_and_norms(a, certificate.radius)
-                shared.append((s, a, *measured))
-                loc = measured[0].compressed_norm
-            else:
-                loc = compressed.norm()
+            loc = report.compressed_norm if report else compressed.norm()
             multiplier_ok, lower_ok = _bound_checks(
                 norm_a, moved, loc, epsilon
             )
@@ -225,15 +192,9 @@ def a_implies_onl_bound(
         space_name=space.name,
         band_radius=band_radius,
         loc_radius=certificate.radius,
-        kappa=kappa,
-        gram_deficit=deficit,
-        gram_deficit_exact=deficit_exact,
-        epsilon=epsilon,
-        epsilon_exact=epsilon_exact,
-        vacuous=not epsilon < 1,
+        **terms,
         sample_checks=tuple(checks),
         all_verified=all_verified,
-        _shared=tuple(shared),
     )
 
 
@@ -450,10 +411,12 @@ def equivalence_experiment(
     The bound and the search draw their samples' seeds from one
     ``default_rng(seed)`` stream, so the search's operators are the
     bound's first ones, at the same band and localization radii.  When
-    the search runs, the bound profiles those operators, takes their
-    compressed norms from their reports, and hands operators, reports and
-    block norms to the search, which takes them when the seeds and spaces
-    match, so each is measured once.
+    the search runs, the experiment draws its ``profile_samples``
+    operators once and measures each once at ``loc_radius``
+    (:func:`~normloc.localization._report_and_norms`), and hands the same
+    (operator, report, norms, exact) tuples to both sides, by position:
+    the bound's first checks take their compressed norm from the report,
+    and the search's samples are those tuples.
     """
     if profile_samples < 0:
         raise InvalidParams(
@@ -474,9 +437,14 @@ def equivalence_experiment(
             f"localization radius {loc_radius}"
         )
     search = profile_samples > 0 and 0 < band_radius <= loc_radius
+    measured = []
+    if search:
+        rng = np.random.default_rng(seed)
+        for s in rng.integers(0, 2**63 - 1, size=profile_samples):
+            op = random_banded(space, band_radius, int(s))
+            measured.append((op, *_report_and_norms(op, loc_radius)))
     bound = a_implies_onl_bound(
-        cert, band_radius, samples=samples, seed=seed,
-        _share=profile_samples if search else 0,
+        cert, band_radius, samples=samples, seed=seed, _measured=measured
     )
     if bound.vacuous:
         warnings.append(
@@ -498,7 +466,7 @@ def equivalence_experiment(
             search_budget=search_budget,
             certificate=cert,
             probes=tuple(probes),
-            _shared=bound._shared,
+            _measured=measured,
         )
     elif profile_samples > 0:
         warnings.append(

@@ -19,10 +19,11 @@ toolbox.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import band_epsilon
 from .errors import (
     DegenerateWitness,
     InvalidParams,
@@ -867,22 +868,20 @@ def onl_profile(
     certificate=None,
     probes: tuple = (),
     *,
-    _shared: tuple = (),
+    _measured: tuple = (),
 ) -> OnlProfile:
     """Search for the worst localization ratio of band-limited operators.
 
     Draws seeded Gaussian operators in the band, profiles each, then runs a
     greedy adversarial refinement from the worst few starts.  ``probes``
     are (name, operator) pairs profiled alongside.  A vector certificate
-    adds the guaranteed lower bound from its Schur-multiplier argument.
-    Requires 0 < band radius <= localization radius.
+    adds the guaranteed lower bound 1 - epsilon from its Schur-multiplier
+    argument (:func:`~normloc.certificates.band_epsilon`).  Requires 0 <
+    band radius <= localization radius.
 
-    ``_shared`` holds samples the caller has measured already, each as
-    (seed, operator, report, norms, exact), the last three from
-    :func:`_report_and_norms` at ``loc_radius``, drawn at ``band_radius``
-    on ``space``.  A sample whose seed one of them matches takes that
-    operator, report and norms instead of drawing and factorizing them
-    again (:func:`~normloc.duality.equivalence_experiment`).
+    The first samples are taken from ``_measured``, as (operator,
+    report, norms, exact) of :func:`_report_and_norms` at ``loc_radius``
+    (:func:`~normloc.duality.equivalence_experiment`).
     """
     if not 0 < band_radius <= loc_radius:
         raise InvalidRadii(
@@ -900,22 +899,11 @@ def onl_profile(
         raise InvalidParams(f"search budget must be >= 0, got {search_budget}")
     rng = np.random.default_rng(seed)
     sample_seeds = rng.integers(0, 2**63 - 1, size=samples)
-    shared = {s: (op, *kept) for s, op, *kept in _shared if op.space is space}
-    reports = []
-    ops = []
-    block_norms = []
-    for s in sample_seeds:
-        if s in shared:
-            op, report, norms, exact = shared[s]
-            # Measured at a radius equal in value, which the report states
-            # as this profile does (a tree-ray certificate's is an int).
-            report = replace(report, loc_radius=loc_radius)
-        else:
-            op = random_banded(space, band_radius, int(s))
-            report, norms, exact = _report_and_norms(op, loc_radius)
-        ops.append(op)
-        reports.append(report)
-        block_norms.append((norms, exact))
+    measured = list(_measured)
+    for s in sample_seeds[len(measured):]:
+        op = random_banded(space, band_radius, int(s))
+        measured.append((op, *_report_and_norms(op, loc_radius)))
+    ops, reports, norms, exact = zip(*measured)
     ratios = np.array([r.sigma_sq for r in reports])
     worst_sample = float(ratios.min())
     adversarial = worst_sample
@@ -926,8 +914,8 @@ def onl_profile(
             adversarial = min(
                 adversarial,
                 _refine_ratio(
-                    space, loc_radius, band_radius, ops[int(i)],
-                    float(ratios[i]), block_norms[int(i)], share, rng,
+                    space, loc_radius, band_radius, ops[i], float(ratios[i]),
+                    (norms[i], exact[i]), share, rng,
                 ),
             )
     probe_reports = tuple(
@@ -939,12 +927,9 @@ def onl_profile(
     )
     epsilon = lower = vacuous = consistent = None
     if certificate is not None:
-        from .duality import a_implies_onl_bound
-
-        bound = a_implies_onl_bound(certificate, band_radius)
-        epsilon = bound.epsilon
-        vacuous = bound.vacuous
-        lower = max(0.0, 1.0 - bound.epsilon)
+        terms = band_epsilon(certificate, band_radius)
+        epsilon, vacuous = terms["epsilon"], terms["vacuous"]
+        lower = max(0.0, 1.0 - epsilon)
         consistent = bool(lower <= worst + 1e-9)
     return OnlProfile(
         space_name=space.name,
@@ -954,7 +939,7 @@ def onl_profile(
         samples=samples,
         seed=seed,
         search_budget=search_budget,
-        sample_reports=tuple(reports),
+        sample_reports=reports,
         sample_seeds=tuple(int(s) for s in sample_seeds),
         probe_reports=probe_reports,
         worst_sample_ratio=worst_sample,

@@ -527,16 +527,18 @@ def generate_family(
     raise InvalidParams(f"unknown family kind {kind!r}")
 
 
+@np.errstate(over="ignore")
 def validate_metric(space: FiniteMetricSpace, seed: int = 0) -> list[str]:
     """Check the metric axioms; return a list of human-readable violations.
 
     An empty list means the table passed.  Diagonal, positivity and symmetry
     are always checked exactly.  The triangle inequality is checked exactly
     up to ``EXACT_VALIDATION_LIMIT`` points and by seeded sampling of triples
-    beyond that (``VALIDATION_SAMPLE_TRIPLES`` triples).  At most
-    ``VALIDATION_MAX_MESSAGES`` violations are listed.  Message prefixes
-    (``diagonal:``, ``positivity:``, ``symmetry:``, ``triangle:``) are
-    stable.
+    beyond that (``VALIDATION_SAMPLE_TRIPLES`` triples).  A sum of two
+    distances that overflows is infinite, which no distance exceeds.  At
+    most ``VALIDATION_MAX_MESSAGES`` violations are listed.  Message
+    prefixes (``diagonal:``, ``positivity:``, ``symmetry:``, ``triangle:``)
+    are stable.
     """
     d = space.dist
     n = space.n

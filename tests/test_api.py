@@ -141,6 +141,38 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+# Modules below duality and cli, which import neither of them.
+_LOWER = ("space", "operators", "certificates", "localization")
+
+
+def test_imports_are_module_level_and_layered():
+    # An import in a function body hides a dependency, and a lower module
+    # that imports duality or cli runs the layers in a cycle.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}: import in {fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+        if path.stem not in _LOWER:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = [alias.name for alias in node.names]
+            names += [getattr(node, "module", None) or ""]
+            found += [
+                f"{path.name}:{node.lineno}: imports {name}"
+                for name in names
+                if {"duality", "cli"} & set(name.split("."))
+            ]
+    assert found == []
+
+
 def _defaults() -> dict:
     """Exported name -> its defaulted parameters, as (name, position).
 

@@ -76,11 +76,18 @@ def test_onl_bound_vacuous_on_small_cycle(c6):
 
 
 def test_onl_bound_nan_epsilon_is_vacuous(c60, monkeypatch):
-    # A NaN epsilon certifies nothing, so it must read as vacuous.
-    monkeypatch.setattr(nl.duality, "schur_test_kappa", lambda *_: math.nan)
-    bound = nl.a_implies_onl_bound(_ball_cert(c60, 10), 1)
+    # A NaN epsilon certifies nothing, so bound and profile must read it
+    # as vacuous.
+    monkeypatch.setattr(nl.certificates, "schur_test_kappa", lambda *_: math.nan)
+    cert = _ball_cert(c60, 10)
+    bound = nl.a_implies_onl_bound(cert, 1)
     assert math.isnan(bound.epsilon)
     assert bound.vacuous is True
+    profile = nl.onl_profile(
+        c60, 1, 10, samples=1, seed=0, search_budget=0, certificate=cert
+    )
+    assert math.isnan(profile.epsilon)
+    assert profile.vacuous is True
 
 
 @pytest.mark.parametrize(
@@ -351,13 +358,11 @@ def test_equivalence_experiment_measures_the_first_sample_once(
     assert rep.bound.to_json() == bound.to_json()
 
 
-def test_equivalence_experiment_draws_each_shared_sample_once(
-    c60, monkeypatch
-):
-    # The search's 3 seeds are the first 3 of the bound's 4, so the
-    # experiment draws 4 operators where bound and search apart draw 7.
+def _draws_together_and_apart(c60, monkeypatch, samples, profile_samples):
+    """Operators drawn by one experiment on the 60-cycle (R = 1, S = 10,
+    seed 2), and by its bound and its search run apart, whose JSON must
+    equal the experiment's."""
     cert = _ball_cert(c60, 10)
-    probes = (("adjacency", nl.adjacency(c60)),)
     drawn = []
     draw = nl.operators.random_banded
 
@@ -368,20 +373,67 @@ def test_equivalence_experiment_draws_each_shared_sample_once(
     for module in (nl.duality, nl.localization):
         monkeypatch.setattr(module, "random_banded", counted)
     rep = nl.equivalence_experiment(
-        c60, 1, 10, samples=4, seed=2, profile_samples=3, search_budget=8
+        c60, 1, 10, samples=samples, seed=2,
+        profile_samples=profile_samples, search_budget=8,
     )
-    assert len(drawn) == 4
-    bound = nl.a_implies_onl_bound(cert, 1, samples=4, seed=2)
+    together = len(drawn)
+    bound = nl.a_implies_onl_bound(cert, 1, samples=samples, seed=2)
     profile = nl.onl_profile(
-        c60, 1, 10, samples=3, seed=2, search_budget=8, certificate=cert,
-        probes=probes,
+        c60, 1, 10, samples=profile_samples, seed=2, search_budget=8,
+        certificate=cert, probes=(("adjacency", nl.adjacency(c60)),),
     )
-    assert len(drawn) == 11
-    assert profile.sample_seeds == tuple(
-        c["seed"] for c in bound.sample_checks[:3]
+    shared = min(samples, profile_samples)
+    assert profile.sample_seeds[:shared] == tuple(
+        c["seed"] for c in bound.sample_checks[:shared]
     )
     assert rep.bound.to_json() == bound.to_json()
     assert rep.profile.to_json() == profile.to_json()
+    return together, len(drawn) - together
+
+
+def test_equivalence_experiment_draws_each_shared_sample_once(
+    c60, monkeypatch
+):
+    # The search's 3 seeds are the first 3 of the bound's 4, so the
+    # experiment draws 4 operators where bound and search apart draw 7.
+    assert _draws_together_and_apart(c60, monkeypatch, 4, 3) == (4, 7)
+
+
+def test_equivalence_experiment_draws_more_search_samples_than_bound_ones(
+    c60, monkeypatch
+):
+    # The bound's 1 seed is the first of the search's 3, so the experiment
+    # draws 3 operators where bound and search apart draw 4.
+    assert _draws_together_and_apart(c60, monkeypatch, 1, 3) == (3, 4)
+
+
+def test_equivalence_experiment_without_a_search_gives_no_warning(c60):
+    # Radii that leave room for a search, but no search asked for: nothing
+    # to warn about.
+    rep = nl.equivalence_experiment(
+        c60, 1, 10, samples=1, seed=0, profile_samples=0, search_budget=4
+    )
+    assert rep.profile is None
+    assert rep.warnings == ()
+
+
+@pytest.mark.parametrize(
+    "space, certificate, arithmetic",
+    [("c60", "ball", "exact"), ("grid8", "custom", "float")],
+)
+def test_equivalence_experiment_states_its_gram_arithmetic(
+    space, certificate, arithmetic, request
+):
+    # The 60-cycle's balls are all of one size, so its ball certificate's
+    # Gram is rational; the 8x8 grid's are not (see
+    # test_onl_bound_epsilon_without_an_exact_gram).
+    sp = request.getfixturevalue(space)
+    if certificate == "custom":
+        certificate = _ball_cert(sp, 3)
+    rep = nl.equivalence_experiment(
+        sp, 1, 3, certificate=certificate, samples=0, profile_samples=0
+    )
+    assert rep.certificate_summary["gram_arithmetic"] == arithmetic
 
 
 def test_equivalence_experiment_without_bound_samples(c60):
@@ -392,7 +444,6 @@ def test_equivalence_experiment_without_bound_samples(c60):
     )
     assert rep.bound.sample_checks == ()
     assert rep.bound.all_verified is None
-    assert rep.bound._shared == ()
     assert rep.profile is not None and len(rep.profile.sample_reports) == 1
     alone = nl.onl_profile(
         c60, 1, 10, samples=1, seed=3, search_budget=2,
@@ -402,18 +453,31 @@ def test_equivalence_experiment_without_bound_samples(c60):
     assert rep.profile.to_json() == alone.to_json()
 
 
-def test_equivalence_experiment_shares_reports_only_with_a_search(c6):
+def test_equivalence_experiment_shares_reports_only_with_a_search(
+    c6, monkeypatch
+):
     # band radius 2 > loc radius 1: no search, so no sample is profiled
+    measured = []
+    measure = nl.localization._report_and_norms
+
+    def counted(*args):
+        measured.append(args)
+        return measure(*args)
+
+    for module in (nl.duality, nl.localization):
+        monkeypatch.setattr(module, "_report_and_norms", counted)
     rep = nl.equivalence_experiment(
         c6, 2, 1, samples=3, seed=0, profile_samples=3, search_budget=4
     )
-    assert rep.profile is None and rep.bound._shared == ()
+    assert rep.profile is None and measured == []
     rep = nl.equivalence_experiment(
         c6, 1, 2, samples=3, seed=0, profile_samples=2, search_budget=4
     )
-    shared = rep.bound._shared
-    assert [s for s, *_ in shared] == [c["seed"] for c in rep.bound.sample_checks[:2]]
-    for (_, _, report, _, _), check in zip(shared, rep.bound.sample_checks):
+    # the 2 samples and the adjacency probe, each once
+    assert len(measured) == 3
+    checks = rep.bound.sample_checks
+    assert rep.profile.sample_seeds == tuple(c["seed"] for c in checks[:2])
+    for report, check in zip(rep.profile.sample_reports, checks):
         assert check["compressed_norm"] == report.compressed_norm
 
 
@@ -443,7 +507,10 @@ def test_shared_reports_state_the_profile_radius(btree6):
         btree6, 1, 4.0, certificate="tree_ray", samples=3, seed=1,
         profile_samples=2, search_budget=4,
     )
-    assert rep.bound._shared[0][2].loc_radius == 4
+    assert type(rep.certificate_summary["radius"]) is int
+    assert [type(r.loc_radius) for r in rep.profile.sample_reports] == [
+        float, float
+    ]
     alone = nl.onl_profile(
         btree6, 1, 4.0, samples=2, seed=1, search_budget=4,
         certificate=nl.subset_to_vector(nl.tree_ray_certificate(btree6, 4)),

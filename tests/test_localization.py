@@ -809,6 +809,45 @@ def test_onl_profile_with_certificate_floor(c6):
         nl.onl_profile(c6, 1, 2, samples=2, seed=0, certificate=wrong)
 
 
+@pytest.mark.parametrize(
+    "space, radius, vacuous", [("c6", 1, True), ("c60", 10, False)]
+)
+def test_onl_profile_states_whether_its_floor_is_vacuous(
+    request, space, radius, vacuous
+):
+    # kappa = 3 on both bands: epsilon = 3 * 1/3 on the 6-cycle at S = 1,
+    # and 3 * 1/21 on the 60-cycle at S = 10.
+    sp = request.getfixturevalue(space)
+    cert = nl.subset_to_vector(nl.ball_certificate(sp, radius))
+    prof = nl.onl_profile(
+        sp, 1, radius, samples=1, seed=0, search_budget=0, certificate=cert
+    )
+    assert prof.vacuous is vacuous
+    assert prof.epsilon == (1.0 if vacuous else 1 / 7)
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_onl_profile_splits_its_budget_over_its_starts(btree6, samples):
+    """Each of the (at most three) worst samples is refined with an equal
+    share of the budget, drawing from the profile's rng in turn; one sample
+    takes the whole budget, as on the tree-search workload."""
+    budget, seed = 6, 11
+    prof = nl.onl_profile(
+        btree6, 1, 5, samples=samples, seed=seed, search_budget=budget
+    )
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**63 - 1, size=samples)
+    ratios = [r.sigma_sq for r in prof.sample_reports]
+    want = min(ratios)
+    for i in np.argsort(ratios):
+        start = nl.random_banded(btree6, 1, prof.sample_seeds[i])
+        refined, _, _ = literal_refine_ratio(
+            btree6, 5, 1, start, ratios[i], budget // samples, rng
+        )
+        want = min(want, refined)
+    assert prof.adversarial_ratio == want < min(ratios)
+
+
 def test_onl_profile_refuses_a_wrong_certificate_radius_first(
     c6, monkeypatch
 ):

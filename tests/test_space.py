@@ -290,6 +290,17 @@ def test_validate_metric_nonfinite():
             nl.space_from_json({"dist": table.tolist()})
 
 
+def test_validate_metric_with_overflowing_triangle_sums():
+    # Sums of two distances near the float maximum overflow to infinity,
+    # which satisfies the triangle inequality without a warning.
+    big = 8.98846567431158e307
+    table = [[0, big, big], [big, 0, big], [big, big, 0]]
+    sp = nl.FiniteMetricSpace(("a", "b", "c"), table)
+    assert nl.validate_metric(sp) == []
+    one = nl.FiniteMetricSpace(("a",), [[big]])
+    assert [p.split(":")[0] for p in nl.validate_metric(one)] == ["diagonal"]
+
+
 def test_space_json_round_trip(grid3):
     doc = nl.space_to_json(grid3)
     back = nl.space_from_json(doc)
