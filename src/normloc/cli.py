@@ -103,6 +103,14 @@ def _finite(noun: str):
 radius = _finite("a radius")
 
 
+def seed(text: str) -> int:
+    """The type of ``--seed``: numpy's generator refuses a negative seed."""
+    value = int(text)
+    if value < 0:
+        raise DataError(f"the seed must be nonnegative, got {value}")
+    return value
+
+
 def _load_certificate(source: str, space, loc_radius):
     """Vector certificate from a named construction or a JSON file."""
     if source in certs.CERTIFICATE_SOURCES:
@@ -342,7 +350,7 @@ def cmd_cb_check(args) -> int:
 def _add_common(parser, seed_required: bool = False):
     parser.add_argument(
         "--seed",
-        type=int,
+        type=seed,
         required=seed_required,
         default=None,
         help="base seed for every random draw"

@@ -143,7 +143,7 @@ class BlockCompression:
     radius: float
     index: BallIndex
 
-    def _norms(self, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
+    def _norms(self, groups: tuple) -> np.ndarray:
         data, m = self.source.data, self.source.m
 
         def values_of(xs):
@@ -152,37 +152,39 @@ class BlockCompression:
                 _gather(data, idx[:, :, None], idx[:, None, :]), rows=False
             )
 
-        return _by_center(groups, values_of)
+        return _by_center(groups, values_of)[1]
 
     def maximal_norms(self) -> np.ndarray:
         """Spectral norm of each maximal ball's block, as ``index.maximal``."""
-        return self._norms(self.index.groups)[1]
+        return self._norms_of(np.ones(self.index.maximal.shape, dtype=bool))
 
     def _norms_of(self, which: np.ndarray) -> np.ndarray:
         """Norms of the maximal-ball blocks that the boolean ``which``
-        picks, as ``index.maximal[which]``."""
-        index = self.index
-        return self._norms(size_groups(index.balls, index.maximal[which]))[1]
+        picks, as ``index.maximal[which]``; an empty ball's is 0."""
+        sizes, centers = self.index.sizes, self.index.maximal[which]
+        norms = np.zeros(centers.shape)
+        norms[sizes[centers] > 0] = self._norms(size_groups(sizes, centers))
+        return norms
 
     def norm(self) -> float:
         """Sup over points of the spectral norm of the ball restriction.
 
         A block of a sub-ball is a submatrix of the block of the larger
         ball, so only the inclusion-maximal balls are factorized, and of
-        those only the ones that can be the largest.  Where the space has
-        a :func:`ball_cover` at S + R, R the propagation, the cover's
-        blocks are factorized, each maximal block is bounded by the cover
-        blocks whose balls hold its ball (:func:`_inclusion_bounds`), and
-        :func:`_largest` factorizes the blocks that can be the largest.
-        Elsewhere every maximal block is factorized.  Either way the value
-        is the largest maximal block norm, bit for bit.
+        those only the ones that can be the largest (:func:`_largest`).
+        Where the space has a :func:`ball_cover` at S + R, R the
+        propagation, the cover's blocks are factorized and each maximal
+        block is bounded by the cover blocks whose balls hold its ball
+        (:func:`_inclusion_bounds`).  Elsewhere every bound is inf, so every
+        maximal block is factorized.  Either way the value is the largest
+        maximal block norm, bit for bit.
         """
         a = self.source
         cover = ball_cover(a.space, self.radius, self.radius + propagation(a))
-        if cover is None:
-            return float(max(self.maximal_norms(), default=0.0))
-        wide = compress(a, cover.wide.radius)
-        bounds = _inclusion_bounds(cover.holds, wide._norms(cover.groups)[1])
+        bounds = np.full(self.index.maximal.shape, np.inf)
+        if cover is not None:
+            norms = compress(a, cover.wide.radius)._norms(cover.groups)
+            bounds = _inclusion_bounds(cover.holds, norms)
         return _largest(self, bounds, np.zeros(bounds.shape, dtype=bool))
 
 
@@ -200,9 +202,8 @@ def compress(a: BandedOperator, radius: float) -> BlockCompression:
 def _reached_rows(a: BandedOperator, index: BallIndex) -> np.ndarray:
     """(maximal balls, n) table of the rows that the operator's support
     links to the columns of each maximal ball of ``index``."""
-    within = a.space.dist[index.maximal] <= index.radius
     # Counts below 2^24, so exact in float32.
-    return within.astype(np.float32) @ a.support.T.astype(np.float32) > 0
+    return index.member.astype(np.float32) @ a.support.T.astype(np.float32) > 0
 
 
 def _column_search(
@@ -266,19 +267,24 @@ def _inclusion_bounds(holds: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def _largest(
-    comp: BlockCompression, norms: np.ndarray, exact: np.ndarray
-) -> float:
-    """The largest maximal-ball block norm of ``comp``.
+    comp: BlockCompression, norms: np.ndarray, exact: np.ndarray,
+    scale: float = 1.0, bar: float = np.inf,
+) -> float | None:
+    """The largest maximal-ball block norm of ``comp``, or None once the
+    largest norm found over ``scale`` reaches ``bar``.
 
     ``norms`` (as ``index.maximal``) holds block norms where ``exact`` is
-    set and upper bounds on them elsewhere.  Bounded blocks are factorized
-    largest bound first: those with the largest bound, then those whose
-    bound reaches the largest norm so far times ``1 - _PRUNE_SLACK``.  A
-    block whose bound falls short of that is below it, so it is left
-    bounded.  ``norms`` and ``exact`` are updated in place.
+    set and upper bounds on them elsewhere; an inf bound opens its block.
+    Bounded blocks are factorized largest bound first: those with the
+    largest bound, then those whose bound reaches the largest norm so far
+    times ``1 - _PRUNE_SLACK``.  A block whose bound falls short of that is
+    below it, so it is left bounded.  ``norms`` and ``exact`` are updated
+    in place.
     """
     while True:
         known = norms[exact].max(initial=0.0)
+        if known / scale >= bar:
+            return None
         open_ = ~exact & (norms >= known * (1 - _PRUNE_SLACK))
         if not open_.any():
             return float(known)
@@ -397,47 +403,35 @@ def _report_and_norms(
     Returns ``(report, norms, exact)``, both arrays as ``index.maximal``:
     ``norms`` holds the block norm where ``exact`` is set and an upper
     bound on it elsewhere.  The report takes every maximal block norm at
-    S + R first.  Each block at S is a submatrix of the block of any
-    (S + R)-ball that holds its ball, which bounds its norm
-    (:func:`_inclusion_bounds`), so only the blocks that can be the
-    largest, ``sq``, are factorized (:func:`_largest`).  The column search
-    comes last.  The largest column norm is at least ``sq``, and each
-    column norm is at most its own bound from the blocks at S + R, so a
-    center whose bound is below ``sq * (1 - _PRUNE_SLACK)`` cannot win and
-    is not factorized.  Where the wide ball is the whole space, every block
-    at S is factorized and no center is pruned.
+    S + R first (the operator norm, where that ball is the whole space).
+    Each block at S is a submatrix of the block of any (S + R)-ball that
+    holds its ball, which bounds its norm (:func:`_inclusion_bounds`), so
+    only the blocks that can be the largest, ``sq``, are factorized
+    (:func:`_largest`).  The column search comes last.  The largest column
+    norm is at least ``sq``, and each column norm is at most its own bound
+    from the blocks at S + R, so a center whose bound is below
+    ``sq * (1 - _PRUNE_SLACK)`` cannot win and is not factorized.
     """
     norm_a = operator_norm(a)
     if norm_a == 0.0:
         raise ZeroOperator("cannot profile the zero operator")
     prop = propagation(a)
     index = ball_index(a.space, radius)
-    comp = compress(a, radius)
     reached = _reached_rows(a, index)
     reach = ball_index(a.space, radius + prop)
-    groups = index.groups
-    if (
-        len(reach.balls[reach.maximal[0]]) == a.n
-        and a.data.shape[0] <= DENSE_NORM_LIMIT
-    ):
+    if reach.member.all() and a.data.shape[0] <= DENSE_NORM_LIMIT:
         # The one maximal ball is the whole space, and its block is the
         # matrix that operator_norm factorized.
-        wide = norm_a
-        norms = comp.maximal_norms()
-        exact = np.ones(norms.shape, dtype=bool)
-        sq = float(max(norms, default=0.0))
+        wide_norms = np.array([norm_a])
     else:
         wide_norms = compress(a, radius + prop).maximal_norms()
-        wide = float(max(wide_norms, default=0.0))
-        balls = a.space.dist[index.maximal] <= radius
-        norms = _inclusion_bounds(_holders(a.space, balls, reach), wide_norms)
-        exact = np.zeros(norms.shape, dtype=bool)
-        sq = _largest(comp, norms, exact)
-        bounds = _inclusion_bounds(
-            _holders(a.space, balls | reached, reach), wide_norms
-        )
-        can_win = bounds >= sq * (1 - _PRUNE_SLACK)
-        groups = size_groups(index.balls, index.maximal[can_win])
+    wide = float(max(wide_norms, default=0.0))
+    norms = _inclusion_bounds(_holders(index.member, reach), wide_norms)
+    exact = np.zeros(norms.shape, dtype=bool)
+    sq = _largest(compress(a, radius), norms, exact)
+    holds = _holders(index.member | reached, reach)
+    can_win = _inclusion_bounds(holds, wide_norms) >= sq * (1 - _PRUNE_SLACK)
+    groups = size_groups(index.sizes, index.maximal[can_win])
     center, col = _column_search(a, index, reached, groups)
     sigma_sq = sq / norm_a
     sigma_col = col / norm_a
@@ -791,16 +785,15 @@ def _refine_ratio(
     on the trial's ratio, a trial whose floor already fails the acceptance
     test is rejected without factorizing a changed block.  A kept block
     is factorized only where its bound does not settle that test, and
-    once a trial passes it, only where its bound reaches the trial's
-    largest norm (:func:`_largest`).  Each bound keeps a relative gap of
-    ``_PRUNE_SLACK``, so every comparison and the result are the full
-    recomputation's, bit for bit.
+    then only where it reaches the trial's largest norm (:func:`_largest`,
+    which rejects the trial once a factorized norm fails the test).  Each
+    bound keeps a relative gap of ``_PRUNE_SLACK``, so every comparison
+    and the result are the full recomputation's, bit for bit.
     """
     index = ball_index(space, loc_radius)
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
     norms, exact = (array.copy() for array in start_norms)
-    within = space.dist[index.maximal] <= loc_radius
 
     def ratio_of(d: np.ndarray, hit: np.ndarray, bar: float) -> tuple:
         """(ratio, (norms, exact)) of a trial, or (inf, None) when its
@@ -816,19 +809,18 @@ def _refine_ratio(
             return rejected
         comp = compress(op, loc_radius)
         open_ = kept & ~exact & (norms / norm_a >= bar * (1 - _PRUNE_SLACK))
-        if open_.any():
-            # Kept blocks are the current operator's too.
-            norms[open_] = comp._norms_of(open_)
-            exact[open_] = True
-            if norms[open_].max() / norm_a >= bar:
-                return rejected
+        # Kept blocks are the current operator's too.
+        norms[open_] = comp._norms_of(open_)
+        exact[open_] = True
+        if norms[open_].max(initial=0.0) / norm_a >= bar:
+            return rejected
         out = norms.copy()
         out[hit] = comp._norms_of(hit)
         out_exact = exact | hit
-        if out[out_exact].max() / norm_a >= bar:
+        largest = _largest(comp, out, out_exact, norm_a, bar)
+        if largest is None:
             return rejected
-        # Every bounded block is below bar now, so the trial is accepted.
-        return _largest(comp, out, out_exact) / norm_a, (out, out_exact)
+        return largest / norm_a, (out, out_exact)
 
     best = start_ratio
     scale = float(np.abs(data).max()) or 1.0
@@ -841,7 +833,7 @@ def _refine_ratio(
             if evals >= budget:
                 break
             y, z = positions[p]
-            hit = within[:, y] & within[:, z]
+            hit = index.member[:, y] & index.member[:, z]
             for delta in (step, -step, 1j * step, -1j * step):
                 trial = data.copy()
                 trial[y, z] += delta
@@ -929,7 +921,8 @@ def onl_profile(
     if certificate is not None:
         terms = band_epsilon(certificate, band_radius)
         epsilon, vacuous = terms["epsilon"], terms["vacuous"]
-        lower = max(0.0, 1.0 - epsilon)
+        # np.maximum keeps a NaN epsilon's NaN, which fails the comparison.
+        lower = float(np.maximum(0.0, 1.0 - epsilon))
         consistent = bool(lower <= worst + 1e-9)
     return OnlProfile(
         space_name=space.name,

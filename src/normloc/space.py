@@ -131,24 +131,28 @@ class BallIndex:
     """The closed balls of one radius around every point of a space.
 
     ``balls[x]`` holds the indices of the ball around ``x`` in increasing
-    order.  ``maximal`` lists, in increasing order, the centers of the
-    inclusion-maximal balls, with equal balls collapsed to their smallest
-    center; ``groups`` splits those centers of nonempty balls by ball size,
-    smallest size first, so that one batched factorization covers each
-    group.  Every ball lies inside some maximal ball, so a supremum of
-    norms of restrictions (two-sided or to columns) is attained on them.
+    order and ``sizes[x]`` its size.  ``maximal`` lists, in increasing
+    order, the centers of the inclusion-maximal balls, with equal balls
+    collapsed to their smallest center, and ``member[i, p]`` is set when
+    the ball around ``maximal[i]`` holds point p.  ``groups`` splits the
+    centers of nonempty maximal balls by ball size (:func:`size_groups`),
+    so that one batched factorization covers each group.  Every ball lies
+    inside some maximal ball, so a supremum of norms of restrictions
+    (two-sided or to columns) is attained on them.
     """
 
     radius: float
     balls: tuple
+    sizes: np.ndarray
     maximal: np.ndarray
+    member: np.ndarray
     groups: tuple
 
 
-def size_groups(balls: tuple, centers) -> tuple:
-    """Split centers of nonempty balls by ball size, smallest size first."""
+def size_groups(sizes: np.ndarray, centers) -> tuple:
+    """Split centers of nonempty balls by their sizes, smallest first."""
     centers = np.asarray(centers, dtype=np.int64)
-    sizes = np.array([len(balls[x]) for x in centers], dtype=np.int64)
+    sizes = sizes[centers]
     return tuple(centers[sizes == s] for s in np.unique(sizes) if s > 0)
 
 
@@ -168,9 +172,9 @@ def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
         return index
     inside = space.dist <= radius
     balls = tuple(np.flatnonzero(row) for row in inside)
+    sizes = inside.sum(axis=1)
     # A float product runs through BLAS and counts exactly at these sizes.
     within = inside.astype(np.float64)
-    sizes = within.sum(axis=1)
     contained = (within @ within.T) == sizes[:, None]
     # x is dropped when its ball lies in a strictly larger ball, or equals
     # the ball of a smaller center.
@@ -178,18 +182,17 @@ def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
     earlier = np.tri(space.n, k=-1, dtype=bool)
     dropped = (contained & (larger | earlier)).any(axis=1)
     maximal = np.flatnonzero(~dropped)
-    groups = size_groups(balls, maximal)
+    member = inside[maximal]
+    groups = size_groups(sizes, maximal)
     # Every caller shares the kept index, so its arrays are read-only.
-    for arr in (*balls, maximal, *groups):
+    for arr in (*balls, sizes, maximal, member, *groups):
         arr.setflags(write=False)
-    index = BallIndex(radius, balls, maximal, groups)
+    index = BallIndex(radius, balls, sizes, maximal, member, groups)
     space._ball_indexes[radius] = index
     return index
 
 
-def _holders(
-    space: FiniteMetricSpace, need: np.ndarray, wide: BallIndex
-) -> np.ndarray:
+def _holders(need: np.ndarray, wide: BallIndex) -> np.ndarray:
     """(rows of ``need``, ``wide.maximal``) table: whether each maximal
     ball of ``wide`` holds every point of each row of the boolean table
     ``need``.
@@ -197,9 +200,8 @@ def _holders(
     Only set inclusion is read, so a distance table that breaks the
     triangle inequality cannot make an entry wrong.
     """
-    hosts = space.dist[wide.maximal] <= wide.radius
     # Counts below 2^24, so exact in float32.
-    inside = need.astype(np.float32) @ hosts.T.astype(np.float32)
+    inside = need.astype(np.float32) @ wide.member.T.astype(np.float32)
     return inside == need.sum(axis=1)[:, None]
 
 
@@ -240,7 +242,7 @@ def ball_cover(
         return space._ball_covers[key]
     index = ball_index(space, radius)
     wide = ball_index(space, wide_radius)
-    holds = _holders(space, space.dist[index.maximal] <= radius, wide)
+    holds = _holders(index.member, wide)
     # Bit i of held[j]: wide ball j holds ball i.  A wide ball's count of
     # balls not yet held only falls, so a popped count that is still
     # current is the largest, and on ties the heap pops the smallest
@@ -265,12 +267,10 @@ def ball_cover(
             heapq.heappush(heap, (-now, j))
     chosen.sort()
     centers = wide.maximal[chosen]
-    cost = sum(len(wide.balls[x]) ** 3 for x in centers.tolist())
+    cost = (wide.sizes[centers] ** 3).sum()
     cover = None
-    if not left and cost < sum(
-        len(index.balls[x]) ** 3 for x in index.maximal.tolist()
-    ):
-        groups = size_groups(wide.balls, centers)
+    if not left and cost < (index.sizes[index.maximal] ** 3).sum():
+        groups = size_groups(wide.sizes, centers)
         holds = holds[:, chosen]
         # Every caller shares the kept cover, so its arrays are read-only.
         for arr in (centers, *groups, holds):

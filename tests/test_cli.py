@@ -74,6 +74,35 @@ def test_space_gen_invalid_params_exit_3(tmp_path):
     assert main(["space", "gen", "--kind", "cycle", "--n", "2", "--out", out]) == 3
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "onl profile --space {space} --band-radius 1 --loc-radius 2 "
+        "--samples 2 --out {out}",
+        "equiv run --space {space} --band-radius 1 --loc-radius 2 "
+        "--samples 2 --profile-samples 1 --out {out}",
+        "cb check --space {space} --band-radius 1 --loc-radius 2 "
+        "--amplification 2 --samples 1 --out {out}",
+        "space validate --in {space}",
+        "space gen --kind random-regular --n 12 --degree 3 --out {out}",
+    ],
+    ids=lambda command: " ".join(command.split()[:2]),
+)
+def test_negative_seed_exits_3(tmp_path, capsys, command):
+    # numpy's generator refuses a negative seed; Python's random, which
+    # space gen seeds, would take -1 as 1, so it is refused there too.
+    space = _space_file(tmp_path, n=12)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = command.format(space=space, out=out).split() + ["--seed", "-1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the seed must be nonnegative, got -1" in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.glob("out*")) == []
+
+
 def test_space_validate_ok(tmp_path, capsys):
     path = _space_file(tmp_path)
     capsys.readouterr()
@@ -387,6 +416,23 @@ def test_non_finite_fraction_floor_exits_3(tmp_path, capsys, value):
         in captured.err
     )
     assert not out.exists()
+
+
+def test_onl_profile_nan_epsilon_exits_4(tmp_path, capsys, monkeypatch):
+    # A NaN epsilon gives a NaN floor, which no search can be consistent
+    # with; read as 0 it would pass.
+    monkeypatch.setattr(nl.certificates, "schur_test_kappa", lambda *_: np.nan)
+    path = _space_file(tmp_path, n=60)
+    capsys.readouterr()
+    out = tmp_path / "p"
+    assert main(
+        ["onl", "profile", "--space", path, "--band-radius", "1",
+         "--loc-radius", "10", "--samples", "2", "--budget", "0",
+         "--certificate", "ball", "--seed", "0", "--out", str(out)]
+    ) == 4
+    assert "certified floor nan" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "p.json").read_text())
+    assert doc["consistent"] is False and doc["vacuous"] is True
 
 
 def test_onl_profile_non_finite_distance_exit_3(tmp_path, capsys):

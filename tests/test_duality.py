@@ -77,7 +77,8 @@ def test_onl_bound_vacuous_on_small_cycle(c6):
 
 def test_onl_bound_nan_epsilon_is_vacuous(c60, monkeypatch):
     # A NaN epsilon certifies nothing, so bound and profile must read it
-    # as vacuous.
+    # as vacuous, and the profile's NaN floor must fail its verdict rather
+    # than pass as 0.
     monkeypatch.setattr(nl.certificates, "schur_test_kappa", lambda *_: math.nan)
     cert = _ball_cert(c60, 10)
     bound = nl.a_implies_onl_bound(cert, 1)
@@ -88,6 +89,8 @@ def test_onl_bound_nan_epsilon_is_vacuous(c60, monkeypatch):
     )
     assert math.isnan(profile.epsilon)
     assert profile.vacuous is True
+    assert math.isnan(profile.certified_lower_bound)
+    assert profile.consistent is False
 
 
 @pytest.mark.parametrize(

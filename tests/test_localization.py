@@ -248,7 +248,7 @@ def test_column_bounds_hold_without_the_triangle_inequality():
     assert wide_norms.tolist() == [0.0, 3.0]
     reached = nl.localization._reached_rows(a, index)
     columns = (broken.dist[index.maximal] <= 1) | reached
-    holds = nl.space._holders(broken, columns, wide)
+    holds = nl.space._holders(columns, wide)
     bounds = nl.localization._inclusion_bounds(holds, wide_norms)
     assert bounds.tolist() == [np.inf, 3.0]
 
@@ -327,6 +327,63 @@ def test_report_factorization_counts(c60, btree6, monkeypatch):
     counts.update(eigvalsh=0, eigh=0)
     nl.localization_report(nl.adjacency(btree6), 5)
     assert counts == {"eigvalsh": 7, "eigh": 0}
+
+
+def test_tree_report_factorizes_no_wide_block(btree6, monkeypatch):
+    """On the depth-6 tree at S = 5 the one ball at S + R is the whole
+    space, so the operator norm is its block norm: the report factorizes
+    the maximal blocks at S, largest bound first, then the columns."""
+    stacks = []
+    stack_values = nl.localization._top_values
+
+    def recorded(stack, rows):
+        stacks.append(stack.shape)
+        return stack_values(stack, rows)
+
+    monkeypatch.setattr(nl.localization, "_top_values", recorded)
+    for a in (nl.adjacency(btree6), nl.random_banded(btree6, 1, seed=2)):
+        stacks.clear()
+        nl.localization_report(a, 5)
+        assert stacks == [(1, 63, 63), (2, 79, 79), (1, 63, 127), (2, 79, 95)]
+
+
+class _Blocks:
+    """Stands in for a compression in :func:`_largest`: its blocks have
+    the norms ``true``, and each factorization asked for is recorded."""
+
+    def __init__(self, true):
+        self.true = np.array(true)
+        self.asked = []
+
+    def _norms_of(self, which):
+        self.asked.append(which.tolist())
+        return self.true[which]
+
+
+def test_largest_stops_when_a_norm_reaches_the_bar():
+    largest = nl.localization._largest
+    # 3 / 2 is 1.5 exactly: reaching the bar returns None, and so does a
+    # block that reaches it only once factorized.
+    cases = [([3.0, 1.0], [True, False], []), ([np.inf], [False], [[True]])]
+    for norms, exact, asked in cases:
+        blocks = _Blocks([3.0, 1.0][: len(norms)])
+        got = largest(blocks, np.array(norms), np.array(exact), 2.0, 1.5)
+        assert got is None and blocks.asked == asked
+    # One ulp above the quotient, the norm comes back and the block
+    # bounded by 1 stays closed.
+    blocks = _Blocks([3.0, 0.5])
+    bar = np.nextafter(1.5, np.inf)
+    norms, exact = np.array([3.0, 1.0]), np.array([True, False])
+    assert largest(blocks, norms, exact, 2.0, bar) == 3.0
+    assert blocks.asked == [] and exact.tolist() == [True, False]
+
+
+def test_largest_opens_every_inf_bound_in_one_call():
+    blocks = _Blocks([1.0, 3.0, 2.0])
+    norms, exact = np.full(3, np.inf), np.zeros(3, dtype=bool)
+    assert nl.localization._largest(blocks, norms, exact) == 3.0
+    assert blocks.asked == [[True, True, True]]
+    assert norms.tolist() == [1.0, 3.0, 2.0] and exact.all()
 
 
 def _planar_points(n: int, seed: int) -> nl.FiniteMetricSpace:
@@ -441,7 +498,7 @@ def test_ball_cover_holds_every_maximal_ball(request, space, radius, wide):
     assert cover.centers.tolist() == centers
     assert np.array_equal(cover.holds, holds)
     assert [g.tolist() for g in cover.groups] == [
-        g.tolist() for g in nl.space.size_groups(cover.wide.balls, centers)
+        g.tolist() for g in nl.space.size_groups(cover.wide.sizes, centers)
     ]
 
 
@@ -477,6 +534,20 @@ def test_norm_factorizes_the_cover_and_the_blocks_that_can_win(
     assert stacks == [(20, 23, 23), (3, 21, 21)]
     assert counts == {"eigvalsh": 23, "eigh": 0}
     assert norm == max(comp.maximal_norms())
+
+
+@pytest.mark.parametrize("dist", [[[1]], [[1, 2], [2, 1]]])
+def test_balls_that_are_all_empty_have_norm_zero(dist):
+    # A table with a nonzero diagonal can leave every 0-ball empty; the one
+    # maximal ball is then empty and its block has norm 0, whether the
+    # ball at S + R is the whole space (one point) or not (two points).
+    sp = nl.FiniteMetricSpace(tuple(map(str, range(len(dist)))), dist)
+    a = nl.BandedOperator(sp, 1, np.eye(len(dist)))
+    assert nl.ball_index(sp, 0).sizes.tolist() == [0] * len(dist)
+    assert nl.compress(a, 0).maximal_norms().tolist() == [0.0]
+    assert nl.compress(a, 0).norm() == 0.0
+    with pytest.raises(nl.ZeroOperator):
+        nl.localization_report(a, 0)
 
 
 def test_repeated_reports_make_no_page_faults(c60):
