@@ -40,9 +40,11 @@ from .errors import (
     InvalidParams,
     InvalidRadii,
     RadiusMismatch,
+    ZeroOperator,
 )
 from .localization import (
     BlockCompression,
+    _check_certificate,
     _report_and_norms,
     compress,
     onl_profile,
@@ -264,8 +266,9 @@ def sampled_cb_norm_check(
     every amplified sample to a scalar one through its top singular fibers,
     and compares the worst amplified ratio against the best scalar
     evidence, allowing ``CB_TOLERANCE``.  Requires 0 < band radius <=
-    localization radius so that compressions of banded operators never
-    vanish.
+    localization radius, so that on a metric the compressions of banded
+    operators never vanish; a sample that vanishes on every ball, as on a
+    table that breaks the axioms, raises :class:`ZeroOperator`.
     """
     if not 0 < band_radius <= loc_radius:
         raise InvalidRadii(
@@ -281,7 +284,11 @@ def sampled_cb_norm_check(
     child_seeds = rng.integers(0, 2**63 - 1, size=(samples, 2))
 
     def inverse_ratio(a: BandedOperator) -> float:
-        return operator_norm(a) / compress(a, loc_radius).norm()
+        norm_a = operator_norm(a)
+        loc = compress(a, loc_radius).norm()
+        if loc == 0.0:
+            raise ZeroOperator("a sample vanishes on every ball")
+        return norm_a / loc
 
     scalar_ratios = []
     amplified_ratios = []
@@ -431,11 +438,7 @@ def equivalence_experiment(
     if isinstance(certificate, str):
         subset = named_certificate(space, certificate, loc_radius)
         cert = subset_to_vector(subset)
-    if cert.radius != loc_radius:
-        raise InvalidParams(
-            f"certificate radius {cert.radius} does not match "
-            f"localization radius {loc_radius}"
-        )
+    _check_certificate(cert, space, loc_radius)
     search = profile_samples > 0 and 0 < band_radius <= loc_radius
     measured = []
     if search:

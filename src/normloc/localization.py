@@ -25,6 +25,7 @@ import numpy as np
 
 from .certificates import band_epsilon
 from .errors import (
+    DataError,
     DegenerateWitness,
     InvalidParams,
     InvalidRadii,
@@ -38,6 +39,7 @@ from .operators import (
     _scratch,
     _top_values,
     random_banded,
+    same_space,
     top_singular_pair,
 )
 from .space import (
@@ -143,17 +145,6 @@ class BlockCompression:
     radius: float
     index: BallIndex
 
-    def _norms(self, groups: tuple) -> np.ndarray:
-        data, m = self.source.data, self.source.m
-
-        def values_of(xs):
-            idx = _ball_table(self.index, xs, m)
-            return _top_values(
-                _gather(data, idx[:, :, None], idx[:, None, :]), rows=False
-            )
-
-        return _by_center(groups, values_of)[1]
-
     def maximal_norms(self) -> np.ndarray:
         """Spectral norm of each maximal ball's block, as ``index.maximal``."""
         return self._norms_of(np.ones(self.index.maximal.shape, dtype=bool))
@@ -161,9 +152,18 @@ class BlockCompression:
     def _norms_of(self, which: np.ndarray) -> np.ndarray:
         """Norms of the maximal-ball blocks that the boolean ``which``
         picks, as ``index.maximal[which]``; an empty ball's is 0."""
+        data, m = self.source.data, self.source.m
         sizes, centers = self.index.sizes, self.index.maximal[which]
+
+        def values_of(xs):
+            idx = _ball_table(self.index, xs, m)
+            return _top_values(
+                _gather(data, idx[:, :, None], idx[:, None, :]), rows=False
+            )
+
+        groups = size_groups(sizes, centers)
         norms = np.zeros(centers.shape)
-        norms[sizes[centers] > 0] = self._norms(size_groups(sizes, centers))
+        norms[sizes[centers] > 0] = _by_center(groups, values_of)[1]
         return norms
 
     def norm(self) -> float:
@@ -172,19 +172,18 @@ class BlockCompression:
         A block of a sub-ball is a submatrix of the block of the larger
         ball, so only the inclusion-maximal balls are factorized, and of
         those only the ones that can be the largest (:func:`_largest`).
-        Where the space has a :func:`ball_cover` at S + R, R the
-        propagation, the cover's blocks are factorized and each maximal
-        block is bounded by the cover blocks whose balls hold its ball
-        (:func:`_inclusion_bounds`).  Elsewhere every bound is inf, so every
-        maximal block is factorized.  Either way the value is the largest
-        maximal block norm, bit for bit.
+        The blocks of the :func:`ball_cover` at S + R, R the propagation,
+        are factorized, and each maximal block is bounded by the cover
+        blocks whose balls hold its ball (:func:`_inclusion_bounds`); a
+        wide ball outside the cover bounds nothing.  The value is the
+        largest maximal block norm, bit for bit.
         """
         a = self.source
         cover = ball_cover(a.space, self.radius, self.radius + propagation(a))
-        bounds = np.full(self.index.maximal.shape, np.inf)
-        if cover is not None:
-            norms = compress(a, cover.wide.radius)._norms(cover.groups)
-            bounds = _inclusion_bounds(cover.holds, norms)
+        wide = np.full(cover.chosen.shape, np.inf)
+        covering = compress(a, cover.wide.radius)
+        wide[cover.chosen] = covering._norms_of(cover.chosen)
+        bounds = _inclusion_bounds(cover.holds, wide)
         return _largest(self, bounds, np.zeros(bounds.shape, dtype=bool))
 
 
@@ -405,7 +404,8 @@ def _report_and_norms(
     bound on it elsewhere.  The report takes every maximal block norm at
     S + R first (the operator norm, where that ball is the whole space).
     Each block at S is a submatrix of the block of any (S + R)-ball that
-    holds its ball, which bounds its norm (:func:`_inclusion_bounds`), so
+    holds its ball, which bounds its norm (:func:`_inclusion_bounds`, over
+    the inclusion table the space keeps with its :func:`ball_cover`), so
     only the blocks that can be the largest, ``sq``, are factorized
     (:func:`_largest`).  The column search comes last.  The largest column
     norm is at least ``sq``, and each column norm is at most its own bound
@@ -418,18 +418,18 @@ def _report_and_norms(
     prop = propagation(a)
     index = ball_index(a.space, radius)
     reached = _reached_rows(a, index)
-    reach = ball_index(a.space, radius + prop)
-    if reach.member.all() and a.data.shape[0] <= DENSE_NORM_LIMIT:
+    cover = ball_cover(a.space, radius, radius + prop)
+    if cover.wide.member.all() and a.data.shape[0] <= DENSE_NORM_LIMIT:
         # The one maximal ball is the whole space, and its block is the
         # matrix that operator_norm factorized.
         wide_norms = np.array([norm_a])
     else:
         wide_norms = compress(a, radius + prop).maximal_norms()
     wide = float(max(wide_norms, default=0.0))
-    norms = _inclusion_bounds(_holders(index.member, reach), wide_norms)
+    norms = _inclusion_bounds(cover.holds, wide_norms)
     exact = np.zeros(norms.shape, dtype=bool)
     sq = _largest(compress(a, radius), norms, exact)
-    holds = _holders(index.member | reached, reach)
+    holds = _holders(index.member | reached, cover.wide)
     can_win = _inclusion_bounds(holds, wide_norms) >= sq * (1 - _PRUNE_SLACK)
     groups = size_groups(index.sizes, index.maximal[can_win])
     center, col = _column_search(a, index, reached, groups)
@@ -765,64 +765,53 @@ class OnlProfile:
 
 
 def _refine_ratio(
-    space: FiniteMetricSpace,
     loc_radius: float,
     band_radius: float,
     start: BandedOperator,
-    start_ratio: float,
     start_norms: tuple,
     budget: int,
     rng: np.random.Generator,
 ) -> float:
     """Greedy coordinate descent pushing sigma_sq down from a start point.
 
-    ``start_ratio`` is the start's own ``sigma_sq`` at ``loc_radius`` and
-    ``start_norms`` its ``(norms, exact)`` maximal-ball block norms, each
-    exact or bounded, as :func:`_report_and_norms` returns them.  A trial
-    moves one entry (y, z), which changes only the blocks of the maximal
-    balls holding both y and z; the other blocks keep their norms or
-    bounds.  Since the largest of those over the trial's norm is a floor
-    on the trial's ratio, a trial whose floor already fails the acceptance
-    test is rejected without factorizing a changed block.  A kept block
-    is factorized only where its bound does not settle that test, and
-    then only where it reaches the trial's largest norm (:func:`_largest`,
-    which rejects the trial once a factorized norm fails the test).  Each
-    bound keeps a relative gap of ``_PRUNE_SLACK``, so every comparison
-    and the result are the full recomputation's, bit for bit.
+    ``start_norms`` is the start's ``(norms, exact)`` maximal-ball block
+    norms at ``loc_radius``, each exact or bounded, as
+    :func:`_report_and_norms` returns them; the start's ``sigma_sq`` is
+    their largest exact norm over its operator norm, the report's own
+    division.  A trial moves one entry (y, z) by delta, which changes only
+    the blocks of the maximal balls holding both y and z, each by a matrix
+    of norm |delta|, so each of their norms moves by at most |delta|.  The
+    trial bounds those blocks by their norm or bound plus |delta|, keeps
+    every other norm and bound, and hands them to :func:`_largest`, which
+    rejects the trial once a factorized norm fails the acceptance test.
+    Each bound keeps a relative gap of ``_PRUNE_SLACK``, which absorbs the
+    rounding of a sum as it absorbs that of a factorization, so every
+    comparison and the result are the full recomputation's, bit for bit.
     """
+    space = start.space
     index = ball_index(space, loc_radius)
     positions = np.argwhere(space.dist <= band_radius)
     data = start.data.copy()
-    norms, exact = (array.copy() for array in start_norms)
+    norms, exact = start_norms
 
-    def ratio_of(d: np.ndarray, hit: np.ndarray, bar: float) -> tuple:
-        """(ratio, (norms, exact)) of a trial, or (inf, None) when its
-        ratio cannot fall below ``bar``."""
-        rejected = np.inf, None
+    def ratio_of(d: np.ndarray, hit: np.ndarray, delta, bar: float) -> tuple:
+        """(ratio, (norms, exact)) of a trial that moved the ``hit`` blocks
+        by ``delta``, or (inf, None) when its ratio cannot fall below
+        ``bar``."""
         op = BandedOperator(space, 1, d)
         norm_a = operator_norm(op)
-        # Division by a positive float is monotone, so the ratio is at
-        # least the kept blocks' largest norm over norm_a.
-        kept = ~hit
-        floor = norms[kept & exact].max(initial=0.0)
-        if norm_a == 0.0 or floor / norm_a >= bar:
-            return rejected
+        if norm_a == 0.0:
+            return np.inf, None
+        out, out_exact = norms.copy(), exact.copy()
+        out[hit] += abs(delta)
+        out_exact[hit] = False
         comp = compress(op, loc_radius)
-        open_ = kept & ~exact & (norms / norm_a >= bar * (1 - _PRUNE_SLACK))
-        # Kept blocks are the current operator's too.
-        norms[open_] = comp._norms_of(open_)
-        exact[open_] = True
-        if norms[open_].max(initial=0.0) / norm_a >= bar:
-            return rejected
-        out = norms.copy()
-        out[hit] = comp._norms_of(hit)
-        out_exact = exact | hit
         largest = _largest(comp, out, out_exact, norm_a, bar)
         if largest is None:
-            return rejected
+            return np.inf, None
         return largest / norm_a, (out, out_exact)
 
-    best = start_ratio
+    best = float(norms[exact].max(initial=0.0)) / operator_norm(start)
     scale = float(np.abs(data).max()) or 1.0
     step = 0.25 * scale
     evals = 0
@@ -837,7 +826,7 @@ def _refine_ratio(
             for delta in (step, -step, 1j * step, -1j * step):
                 trial = data.copy()
                 trial[y, z] += delta
-                cand, cand_norms = ratio_of(trial, hit, best - 1e-14)
+                cand, cand_norms = ratio_of(trial, hit, delta, best - 1e-14)
                 evals += 1
                 if cand < best - 1e-14:
                     best, data, (norms, exact) = cand, trial, cand_norms
@@ -848,6 +837,21 @@ def _refine_ratio(
         if not improved:
             step /= 2
     return best
+
+
+def _check_certificate(certificate, space, loc_radius: float) -> None:
+    """Refuse a certificate built on another space (:class:`DataError`)
+    or at another radius than ``loc_radius`` (:class:`InvalidParams`)."""
+    if not same_space(certificate.space, space):
+        raise DataError(
+            f"the certificate is on {certificate.space.name!r}, another "
+            f"space than {space.name!r}"
+        )
+    if certificate.radius != loc_radius:
+        raise InvalidParams(
+            f"certificate radius {certificate.radius} does not match "
+            f"localization radius {loc_radius}"
+        )
 
 
 def onl_profile(
@@ -880,11 +884,8 @@ def onl_profile(
             f"need 0 < band radius <= localization radius, got "
             f"{band_radius} and {loc_radius}"
         )
-    if certificate is not None and certificate.radius != loc_radius:
-        raise InvalidParams(
-            f"certificate radius {certificate.radius} does not match "
-            f"localization radius {loc_radius}"
-        )
+    if certificate is not None:
+        _check_certificate(certificate, space, loc_radius)
     if samples < 1:
         raise InvalidParams("need at least one sample")
     if search_budget < 0:
@@ -906,8 +907,8 @@ def onl_profile(
             adversarial = min(
                 adversarial,
                 _refine_ratio(
-                    space, loc_radius, band_radius, ops[i], float(ratios[i]),
-                    (norms[i], exact[i]), share, rng,
+                    loc_radius, band_radius, ops[i], (norms[i], exact[i]),
+                    share, rng,
                 ),
             )
     probe_reports = tuple(

@@ -207,35 +207,34 @@ def _holders(need: np.ndarray, wide: BallIndex) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BallCover:
-    """Maximal balls of ``wide`` that together hold every maximal ball of
-    a smaller radius.
+    """How the maximal balls of ``wide`` hold those of a smaller radius,
+    and a cover of the smaller ones where it pays.
 
-    ``centers`` lists them in increasing order and ``groups`` splits them
-    by ball size (:func:`size_groups`).  ``holds[i, j]`` is set when the
-    ball around ``centers[j]`` holds the i-th maximal ball of the smaller
-    radius (:func:`_holders`).
+    ``holds[i, j]`` is set when the j-th maximal ball of ``wide`` holds
+    the i-th maximal ball of the smaller radius (:func:`_holders`).
+    ``chosen``, as ``wide.maximal``, marks the balls of the cover; none is
+    marked where the cover would not pay.
     """
 
     wide: BallIndex
-    centers: np.ndarray
-    groups: tuple
     holds: np.ndarray
+    chosen: np.ndarray
 
 
 def ball_cover(
     space: FiniteMetricSpace, radius: float, wide_radius: float
-) -> BallCover | None:
-    """A cover of the maximal balls of ``radius`` by maximal balls of
-    ``wide_radius``, or None where it would not pay.
+) -> BallCover:
+    """The inclusion table of the maximal balls of ``radius`` in those of
+    ``wide_radius``, and a cover of the first by the second.
 
     The cover is greedy: it takes the maximal wide ball that holds the
     most maximal balls not yet held, ties to the smallest center, until
     every one is held.  A block of side p costs about p^3 to factorize, so
-    the cover is kept only when the sum of its balls' sizes cubed is below
-    that of the maximal balls of ``radius``; a slot count multiplies both
-    sums alike.  A wide radius below ``radius`` can leave a ball unheld,
-    and then there is no cover.  The space keeps the result, so each
-    radius pair is covered once.
+    the cover is chosen only when the sum of its balls' sizes cubed is
+    below that of the maximal balls of ``radius``; a slot count multiplies
+    both sums alike.  A wide radius below ``radius`` can leave a ball
+    unheld, and then nothing is chosen either.  The space keeps the
+    result, so each radius pair is covered once.
     """
     key = radius, wide_radius
     if key in space._ball_covers:
@@ -256,26 +255,22 @@ def ball_cover(
     heap = [(-bits.bit_count(), j) for j, bits in enumerate(held)]
     heapq.heapify(heap)
     left = (1 << len(holds)) - 1
-    chosen = []
+    chosen = np.zeros(wide.maximal.shape, dtype=bool)
     while left and heap:
         count, j = heapq.heappop(heap)
         now = (held[j] & left).bit_count()
         if now == -count:
-            chosen.append(j)
+            chosen[j] = True
             left &= ~held[j]
         elif now:
             heapq.heappush(heap, (-now, j))
-    chosen.sort()
-    centers = wide.maximal[chosen]
-    cost = (wide.sizes[centers] ** 3).sum()
-    cover = None
-    if not left and cost < (index.sizes[index.maximal] ** 3).sum():
-        groups = size_groups(wide.sizes, centers)
-        holds = holds[:, chosen]
-        # Every caller shares the kept cover, so its arrays are read-only.
-        for arr in (centers, *groups, holds):
-            arr.setflags(write=False)
-        cover = BallCover(wide, centers, groups, holds)
+    cost = (wide.sizes[wide.maximal[chosen]] ** 3).sum()
+    if left or cost >= (index.sizes[index.maximal] ** 3).sum():
+        chosen[:] = False
+    # Every caller shares the kept cover, so its arrays are read-only.
+    for arr in (holds, chosen):
+        arr.setflags(write=False)
+    cover = BallCover(wide, holds, chosen)
     space._ball_covers[key] = cover
     return cover
 

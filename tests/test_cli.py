@@ -738,6 +738,36 @@ def test_equiv_run_certificate_file_radius_mismatch(tmp_path):
     ) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "onl profile --samples 2 --budget 4",
+        "equiv run --samples 0 --profile-samples 2 --budget 4",
+        "equiv run --samples 2 --profile-samples 0",
+    ],
+)
+def test_certificate_from_another_space_exits_3(tmp_path, capsys, argv):
+    path = _space_file(tmp_path, n=60)
+    other = _space_file(tmp_path, n=6, name="c6.json")
+    cert_path = str(tmp_path / "c6cert.json")
+    assert main(
+        ["cert", "build", "--space", other, "--kind", "ball", "--radius",
+         "10", "--form", "vector", "--out", cert_path]
+    ) == 0
+    capsys.readouterr()
+    code = main(
+        argv.split()
+        + ["--space", path, "--band-radius", "1", "--loc-radius", "10",
+           "--certificate", cert_path, "--seed", "0",
+           "--out", str(tmp_path / "r")]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "another space than 'cycle_60'" in captured.err
+    assert not list(tmp_path.glob("r.*"))
+
+
 def _zero_multiplier(certificate, compressed):
     return 0 * compressed.source
 
@@ -826,6 +856,28 @@ def test_cb_check_deterministic_and_floor(tmp_path, capsys):
         args + ["--out", str(tmp_path / "cb_c.json"), "--fraction-floor", "1.1"]
     ) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("dist", [[[2, 3], [3, 2]], [[5, 1], [1, 5]]])
+def test_cb_check_samples_that_vanish_on_every_ball_exit_3(
+    tmp_path, capsys, dist
+):
+    # Every ball block of a sample is zero: at radius 1 the first table's
+    # balls and band are empty, and the second's balls hold only the other
+    # point, whose diagonal entry is outside the band.
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps({"dist": dist}))
+    out = tmp_path / "cb.json"
+    code = main(
+        ["cb", "check", "--space", str(path), "--band-radius", "1",
+         "--loc-radius", "1", "--amplification", "2", "--seed", "0",
+         "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "vanishes on every ball" in captured.err
+    assert not out.exists()
 
 
 _REPORT_KEYS = [

@@ -535,6 +535,21 @@ def test_equivalence_experiment_custom_certificate(c6):
     assert rep.kernel_report["psd_ok"]
 
 
+def test_equivalence_experiment_refuses_a_certificate_from_another_space(
+    c6, c60, monkeypatch
+):
+    # refused before the search draws its samples
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random_banded was called")
+
+    monkeypatch.setattr(nl.duality, "random_banded", no_draw)
+    cert = nl.subset_to_vector(nl.ball_certificate(c6, 10))
+    with pytest.raises(nl.DataError, match="another space than 'cycle_60'"):
+        nl.equivalence_experiment(
+            c60, 1, 10, certificate=cert, samples=0, profile_samples=2
+        )
+
+
 def test_equivalence_experiment_zero_loc_radius_warns(c6):
     rep = nl.equivalence_experiment(
         c6, 1, 0, certificate="ball", samples=3, seed=0,

@@ -17,6 +17,7 @@ from helpers import (
     literal_ball_cover,
     literal_column_search,
     literal_refine_ratio,
+    maximal_ball_centers,
     naive_column_norm,
     naive_compression_norm,
 )
@@ -444,16 +445,22 @@ def test_norm_is_the_largest_maximal_block_norm(request, space, band, radius, m)
         assert comp.norm() == max(comp.maximal_norms())
 
 
+def _cover_centers(cover) -> list:
+    """The centers of the balls a cover chooses."""
+    return cover.wide.maximal[cover.chosen].tolist()
+
+
 def test_norm_of_operators_with_zero_blocks(c60):
-    """A zero and a diagonal operator have propagation 0, so no cover; an
-    operator that couples only points 25 apart vanishes on every 10-ball
-    but not on its cover's one ball, the whole space."""
+    """A zero and a diagonal operator have propagation 0, so their cover
+    chooses no ball; an operator that couples only points 25 apart
+    vanishes on every 10-ball but not on its cover's one ball, the whole
+    space."""
     zero = nl.BandedOperator(c60, 1, np.zeros((60, 60)))
     diagonal = nl.BandedOperator(c60, 1, np.diag(np.arange(1.0, 61.0)))
     far = nl.BandedOperator(c60, 1, np.roll(np.eye(60), 25, axis=1))
     assert nl.propagation(zero) == nl.propagation(diagonal) == 0
-    assert nl.space.ball_cover(c60, 10, 10) is None
-    assert nl.space.ball_cover(c60, 10, 35).centers.tolist() == [0]
+    assert not nl.space.ball_cover(c60, 10, 10).chosen.any()
+    assert _cover_centers(nl.space.ball_cover(c60, 10, 35)) == [0]
     for a in (zero, diagonal, far):
         for radius in (3, 10):
             comp = nl.compress(a, radius)
@@ -479,39 +486,36 @@ def test_norm_of_operators_with_zero_blocks(c60):
     ],
 )
 def test_ball_cover_holds_every_maximal_ball(request, space, radius, wide):
-    """The cover is the literal greedy one, holds every maximal ball, and
-    is kept only where its sizes cubed sum below the maximal balls'."""
+    """The space keeps one cover per radius pair.  Its table is the literal
+    inclusion table, and it chooses the literal greedy cover, which holds
+    every maximal ball, only where its sizes cubed sum below the maximal
+    balls'; elsewhere it chooses no ball."""
     sp = request.getfixturevalue(space)
-    index = nl.ball_index(sp, radius)
     centers = literal_ball_cover(sp, radius, wide)
-    inside = sp.dist[index.maximal] <= radius
-    hosts = sp.dist[centers] <= wide
+    inside = sp.dist[maximal_ball_centers(sp, radius)] <= radius
+    hosts = sp.dist[maximal_ball_centers(sp, wide)] <= wide
     holds = (inside[:, None, :] <= hosts[None, :, :]).all(axis=2)
-    assert holds.any(axis=1).all()
+    picked = np.isin(maximal_ball_centers(sp, wide), centers)
+    assert holds[:, picked].any(axis=1).all()
     cost = sum(int((sp.dist[c] <= wide).sum()) ** 3 for c in centers)
     plain = sum(int(inside_row.sum()) ** 3 for inside_row in inside)
     cover = nl.space.ball_cover(sp, radius, wide)
     assert nl.space.ball_cover(sp, radius, wide) is cover
-    if cost >= plain:
-        assert cover is None
-        return
-    assert cover.centers.tolist() == centers
     assert np.array_equal(cover.holds, holds)
-    assert [g.tolist() for g in cover.groups] == [
-        g.tolist() for g in nl.space.size_groups(cover.wide.sizes, centers)
-    ]
+    assert _cover_centers(cover) == (centers if cost < plain else [])
+    assert not cover.holds.flags.writeable
+    assert not cover.chosen.flags.writeable
 
 
 def test_ball_cover_ties_go_to_the_smallest_center(c60, grid8, btree6):
     # Every 11-ball of the 60-cycle holds three 10-balls, so the greedy
     # cover takes every third center from 0.
-    assert nl.space.ball_cover(c60, 10, 11).centers.tolist() == list(
-        range(0, 60, 3)
-    )
+    cover = nl.space.ball_cover(c60, 10, 11)
+    assert _cover_centers(cover) == list(range(0, 60, 3))
     # The grid's 3-balls cost more than its 2-balls; the tree's one 6-ball
     # is the whole space.
-    assert nl.space.ball_cover(grid8, 2, 3) is None
-    assert nl.space.ball_cover(btree6, 5, 6) is None
+    assert not nl.space.ball_cover(grid8, 2, 3).chosen.any()
+    assert not nl.space.ball_cover(btree6, 5, 6).chosen.any()
 
 
 def test_norm_factorizes_the_cover_and_the_blocks_that_can_win(
@@ -814,8 +818,7 @@ _SMALL_SPACES = {
         ("btree6", 5, 1, 150, False),
         ("grid8", 5, 2, 150, False),
         ("regular12", 1, 0, 900, True),
-        # trials that factorize kept blocks: for the floor test (all
-        # three) and for an accepted trial's largest norm (grid5)
+        # trials that factorize bounded blocks the move did not change
         ("c20", 5, 2, 120, False),
         ("c60", 10, 1, 120, False),
         ("grid5", 1, 1, 120, False),
@@ -847,8 +850,7 @@ def test_refinement_matches_literal_route(
     rng_lib = np.random.default_rng(seed + 100)
     rng_lit = np.random.default_rng(seed + 100)
     got = nl.localization._refine_ratio(
-        sp, loc_radius, 1, start, report.sigma_sq, (norms, exact), budget,
-        rng_lib,
+        loc_radius, 1, start, (norms, exact), budget, rng_lib
     )
     want, accepted, halvings = literal_refine_ratio(
         sp, loc_radius, 1, start, report.sigma_sq, budget, rng_lit
@@ -858,6 +860,42 @@ def test_refinement_matches_literal_route(
     assert accepted > 0 and got < report.sigma_sq
     if halves:
         assert halvings > 0
+
+
+def test_refinement_bounds_a_moved_block_by_its_move():
+    """A trial moves one entry by delta, so the blocks that hold it move
+    by at most |delta|.  Two points at distance 1, balls and band of
+    radius 0: the blocks are the diagonal entries 1 and 0.9, both exact.
+    Moving the second by +0.25 lifts its block from below the kept
+    maximum 1 to 1.15, above it.  Its bound 0.9 + 0.25 reaches 1, so the
+    search factorizes it and the ratio stays 1.  Bounded by 0.9 or by
+    0.9 - 0.25, the block would stay shut, and the trial would be accepted
+    at 1 / 1.15."""
+    sp = nl.FiniteMetricSpace(("0", "1"), [[0, 1], [1, 0]])
+    start = nl.BandedOperator(sp, 1, np.diag([1.0, 0.9]))
+    norms, exact = np.array([1.0, 0.9]), np.ones(2, dtype=bool)
+    # 8 trials: four moves of each diagonal entry, in either order
+    got = nl.localization._refine_ratio(
+        0, 0, start, (norms, exact), 8, np.random.default_rng(0)
+    )
+    want, accepted, _ = literal_refine_ratio(
+        sp, 0, 0, start, 1.0, 8, np.random.default_rng(0)
+    )
+    assert got == want == 1.0
+    assert accepted == 0
+
+
+def test_refinement_factorizes_a_pinned_count(grid8, monkeypatch):
+    """From the grid's seed-2 start at S = 5, with budget 120, the
+    refinement's trials factorize 1,774 matrices, each trial's operator
+    norm included."""
+    start = nl.random_banded(grid8, 1, 2)
+    _, norms, exact = nl.localization._report_and_norms(start, 5)
+    counts = count_factorizations(monkeypatch)
+    nl.localization._refine_ratio(
+        5, 1, start, (norms, exact), 120, np.random.default_rng(102)
+    )
+    assert counts == {"eigvalsh": 1774, "eigh": 0}
 
 
 def test_onl_profile_radii_validation(c6):
@@ -930,6 +968,27 @@ def test_onl_profile_refuses_a_wrong_certificate_radius_first(
     wrong = nl.subset_to_vector(nl.ball_certificate(c6, 1))
     with pytest.raises(nl.InvalidParams, match="certificate radius 1"):
         nl.onl_profile(c6, 1, 2, samples=2, seed=0, certificate=wrong)
+
+
+def test_onl_profile_refuses_a_certificate_from_another_space(
+    c6, c60, monkeypatch
+):
+    # The 6-cycle's certificate has the profile's radius but not its
+    # space; one built on an equal copy of the 60-cycle is accepted.
+    copy = nl.generate_family("cycle", {"n": 60})
+    same = nl.subset_to_vector(nl.ball_certificate(copy, 10))
+    prof = nl.onl_profile(
+        c60, 1, 10, samples=1, seed=0, search_budget=0, certificate=same
+    )
+    assert prof.consistent
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random_banded was called")
+
+    monkeypatch.setattr(nl.localization, "random_banded", no_draw)
+    other = nl.subset_to_vector(nl.ball_certificate(c6, 10))
+    with pytest.raises(nl.DataError, match="another space than 'cycle_60'"):
+        nl.onl_profile(c60, 1, 10, samples=2, seed=0, certificate=other)
 
 
 def test_onl_profile_probes(c6):
