@@ -65,7 +65,7 @@ def _write_text(path: str, text: str) -> None:
     tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -116,7 +116,7 @@ def _load_certificate(source: str, space, loc_radius):
     if source in certs.CERTIFICATE_SOURCES:
         loaded = certs.named_certificate(space, source, loc_radius)
     else:
-        loaded = certs.certificate_from_json(_read_json(source))
+        loaded = certs.certificate_from_json(spaces._read_json(source))
     if isinstance(loaded, certs.SubsetCertificate):
         loaded = certs.subset_to_vector(loaded)
     if isinstance(loaded, certs.KernelCertificate):
@@ -125,14 +125,6 @@ def _load_certificate(source: str, space, loc_radius):
             "vector form"
         )
     return loaded
-
-
-def _read_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
 def cmd_space_gen(args) -> int:
@@ -229,7 +221,7 @@ def cmd_cert_build(args) -> int:
 
 
 def cmd_cert_check(args) -> int:
-    loaded = certs.certificate_from_json(_read_json(args.input))
+    loaded = certs.certificate_from_json(spaces._read_json(args.input))
     if isinstance(loaded, certs.KernelCertificate):
         form, vector, kernel = "kernel", None, loaded
     else:
@@ -488,7 +480,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # A missing file, a directory, a file that cannot be read or written.
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except (ConvergenceFailure, VerificationError) as exc:

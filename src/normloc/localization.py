@@ -51,7 +51,6 @@ from .space import (
     ball_cover,
     ball_index,
     largest_distance,
-    size_groups,
 )
 
 # Slack allowed when verifying chain inequalities that hold exactly in
@@ -62,8 +61,8 @@ CHAIN_TOL = 1e-10
 # regroups the sum of a Gram longer than one block.  The column search
 # reads only the rows its columns reach up to this operator side.
 _GRAM_BLOCK = 128
-# A column restriction whose norm bound falls below the largest block norm
-# by more than this relative gap is not factorized.  The gap is far above
+# A restriction whose norm bound falls below the largest norm found by
+# more than this relative gap is not factorized.  The gap is far above
 # the relative error of the eigvalsh norms compared (about 1e-15 at these
 # sizes), so a pruned center is strictly below the winner.
 _PRUNE_SLACK = 1e-12
@@ -119,18 +118,18 @@ def _padded_rows(reached: np.ndarray, m: int) -> np.ndarray:
     return (points[:, :, None] * m + np.arange(m)).reshape(k, -1)
 
 
-def _by_center(groups: tuple, values_of) -> tuple[np.ndarray, np.ndarray]:
-    """(centers, ``values_of(group)`` for each center) over size groups.
-
-    ``groups`` holds centers of equal ball size, so each group is one
-    kernel pass.  Centers come back in increasing order.
-    """
-    if not groups:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    centers = np.concatenate(groups)
-    values = np.concatenate([values_of(xs) for xs in groups])
-    order = np.argsort(centers)
-    return centers[order], values[order]
+def _group_norms(index: BallIndex, which: np.ndarray, values_of) -> np.ndarray:
+    """Norms of the maximal-ball restrictions that the boolean ``which``
+    picks, as ``index.maximal[which]``; an empty ball's is 0.
+    ``values_of(centers)`` takes those of one ball size in one kernel pass,
+    smallest size first."""
+    centers = index.maximal[which]
+    sizes = index.sizes[centers]
+    norms = np.zeros(centers.shape)
+    for size in np.unique(sizes[sizes > 0]):
+        same = sizes == size
+        norms[same] = values_of(centers[same])
+    return norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +152,6 @@ class BlockCompression:
         """Norms of the maximal-ball blocks that the boolean ``which``
         picks, as ``index.maximal[which]``; an empty ball's is 0."""
         data, m = self.source.data, self.source.m
-        sizes, centers = self.index.sizes, self.index.maximal[which]
 
         def values_of(xs):
             idx = _ball_table(self.index, xs, m)
@@ -161,10 +159,7 @@ class BlockCompression:
                 _gather(data, idx[:, :, None], idx[:, None, :]), rows=False
             )
 
-        groups = size_groups(sizes, centers)
-        norms = np.zeros(centers.shape)
-        norms[sizes[centers] > 0] = _by_center(groups, values_of)[1]
-        return norms
+        return _group_norms(self.index, which, values_of)
 
     def norm(self) -> float:
         """Sup over points of the spectral norm of the ball restriction.
@@ -184,7 +179,8 @@ class BlockCompression:
         covering = compress(a, cover.wide.radius)
         wide[cover.chosen] = covering._norms_of(cover.chosen)
         bounds = _inclusion_bounds(cover.holds, wide)
-        return _largest(self, bounds, np.zeros(bounds.shape, dtype=bool))
+        exact = np.zeros(bounds.shape, dtype=bool)
+        return _largest(self._norms_of, bounds, exact)
 
 
 def compress(a: BandedOperator, radius: float) -> BlockCompression:
@@ -206,7 +202,7 @@ def _reached_rows(a: BandedOperator, index: BallIndex) -> np.ndarray:
 
 
 def _column_search(
-    a: BandedOperator, index: BallIndex, reached: np.ndarray, groups: tuple
+    a: BandedOperator, index: BallIndex, reached: np.ndarray, bounds: np.ndarray
 ) -> tuple[int, float]:
     """(center, norm) of the maximal ball whose columns carry the most norm.
 
@@ -214,17 +210,18 @@ def _column_search(
     (:func:`_reached_rows`) that the operator's support links to the ball;
     under propagation R these lie in the ball of radius S + R.  Each
     column restriction is gathered over those rows only, padded with zero
-    rows to the widest of its ball-size group, so each group is still one
-    stack.  Zero rows add nothing to the ball-side Gram ``M M^H``, which
-    is kept whenever the ball is not the whole space, so the norms are
-    those of the full columns, bit for bit.  Full rows are read where that
-    would not hold: for one-column balls, whose Gram is a dot product
-    summed in SIMD lanes by position, for a ball that is the whole space,
-    whose Gram ``M^H M`` is on the row side, and past ``_GRAM_BLOCK``
-    rows.  Only the maximal centers in ``groups`` (:func:`size_groups`)
-    are searched; the caller passes every center that can win
-    (:func:`_inclusion_bounds`).  Ties go to the smallest center.  Raises
-    :class:`ZeroOperator` when the operator kills every ball.
+    rows to the widest of its stack, one stack per ball size.  Zero rows
+    add nothing to the ball-side Gram ``M M^H``, which is kept whenever the
+    ball is not the whole space, so the norms are those of the full
+    columns, bit for bit.  Full rows are read where that would not hold:
+    for one-column balls, whose Gram is a dot product summed in SIMD lanes
+    by position, for a ball that is the whole space, whose Gram ``M^H M``
+    is on the row side, and past ``_GRAM_BLOCK`` rows.  ``bounds`` (as
+    ``index.maximal``) bounds each column norm from above, inf where
+    nothing does, and :func:`_largest` factorizes only the columns that can
+    win.  Every column whose norm ties the largest has a bound at least as
+    large, so it is factorized, and ties go to the smallest center.
+    Raises :class:`ZeroOperator` when the operator kills every ball.
     """
     n, m = a.n, a.m
     side = n * m
@@ -241,11 +238,11 @@ def _column_search(
         stack = _gather(source, rows[:, None, :], cols[:, :, None])
         return _top_values(stack, rows=cols.shape[1] < side)
 
-    centers, norms = _by_center(groups, values_of)
-    if not norms.size or norms.max() == 0.0:
+    norms, exact = bounds.copy(), np.zeros(bounds.shape, dtype=bool)
+    col = _largest(lambda w: _group_norms(index, w, values_of), norms, exact)
+    if col == 0.0:
         raise ZeroOperator("operator vanishes on every ball")
-    best = int(np.argmax(norms))
-    return int(centers[best]), float(norms[best])
+    return int(index.maximal[exact & (norms == col)][0]), col
 
 
 def _inclusion_bounds(holds: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -266,19 +263,20 @@ def _inclusion_bounds(holds: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def _largest(
-    comp: BlockCompression, norms: np.ndarray, exact: np.ndarray,
+    norms_of, norms: np.ndarray, exact: np.ndarray,
     scale: float = 1.0, bar: float = np.inf,
 ) -> float | None:
-    """The largest maximal-ball block norm of ``comp``, or None once the
-    largest norm found over ``scale`` reaches ``bar``.
+    """The largest of the norms that ``norms_of(which)`` takes, or None
+    once the largest norm found over ``scale`` reaches ``bar``.
 
-    ``norms`` (as ``index.maximal``) holds block norms where ``exact`` is
-    set and upper bounds on them elsewhere; an inf bound opens its block.
-    Bounded blocks are factorized largest bound first: those with the
-    largest bound, then those whose bound reaches the largest norm so far
-    times ``1 - _PRUNE_SLACK``.  A block whose bound falls short of that is
-    below it, so it is left bounded.  ``norms`` and ``exact`` are updated
-    in place.
+    ``norms_of`` factorizes the restrictions that a boolean mask over
+    ``norms`` picks, such as :meth:`BlockCompression._norms_of`.  ``norms``
+    holds norms where ``exact`` is set and upper bounds on them elsewhere;
+    an inf bound opens its restriction.  Bounded ones are factorized
+    largest bound first: those with the largest bound, then those whose
+    bound reaches the largest norm so far times ``1 - _PRUNE_SLACK``.  One
+    whose bound falls short of that is below it, so it is left bounded.
+    ``norms`` and ``exact`` are updated in place.
     """
     while True:
         known = norms[exact].max(initial=0.0)
@@ -289,7 +287,7 @@ def _largest(
             return float(known)
         if not exact.any():
             open_ &= norms == norms[open_].max()
-        norms[open_] = comp._norms_of(open_)
+        norms[open_] = norms_of(open_)
         exact |= open_
 
 
@@ -318,9 +316,8 @@ def best_localized_vector(a: BandedOperator, radius: float) -> ColumnWitness:
     operator kills every ball, which happens exactly when it is zero.
     """
     index = ball_index(a.space, radius)
-    center, norm = _column_search(
-        a, index, _reached_rows(a, index), index.groups
-    )
+    unbounded = np.full(index.maximal.shape, np.inf)
+    center, norm = _column_search(a, index, _reached_rows(a, index), unbounded)
     cols = expand_indices(index.balls[center], a.m)
     vec = np.zeros(a.n * a.m, dtype=np.complex128)
     vec[cols] = top_singular_pair(a.data[:, cols])[1]
@@ -407,10 +404,10 @@ def _report_and_norms(
     holds its ball, which bounds its norm (:func:`_inclusion_bounds`, over
     the inclusion table the space keeps with its :func:`ball_cover`), so
     only the blocks that can be the largest, ``sq``, are factorized
-    (:func:`_largest`).  The column search comes last.  The largest column
-    norm is at least ``sq``, and each column norm is at most its own bound
-    from the blocks at S + R, so a center whose bound is below
-    ``sq * (1 - _PRUNE_SLACK)`` cannot win and is not factorized.
+    (:func:`_largest`).  The column search comes last, with each column
+    norm bounded the same way by the (S + R)-blocks that hold its ball and
+    the rows it reaches, so it too factorizes only the columns that can
+    win.
     """
     norm_a = operator_norm(a)
     if norm_a == 0.0:
@@ -428,11 +425,10 @@ def _report_and_norms(
     wide = float(max(wide_norms, default=0.0))
     norms = _inclusion_bounds(cover.holds, wide_norms)
     exact = np.zeros(norms.shape, dtype=bool)
-    sq = _largest(compress(a, radius), norms, exact)
+    sq = _largest(compress(a, radius)._norms_of, norms, exact)
     holds = _holders(index.member | reached, cover.wide)
-    can_win = _inclusion_bounds(holds, wide_norms) >= sq * (1 - _PRUNE_SLACK)
-    groups = size_groups(index.sizes, index.maximal[can_win])
-    center, col = _column_search(a, index, reached, groups)
+    bounds = _inclusion_bounds(holds, wide_norms)
+    center, col = _column_search(a, index, reached, bounds)
     sigma_sq = sq / norm_a
     sigma_col = col / norm_a
     sigma_wide = wide / norm_a
@@ -806,7 +802,7 @@ def _refine_ratio(
         out[hit] += abs(delta)
         out_exact[hit] = False
         comp = compress(op, loc_radius)
-        largest = _largest(comp, out, out_exact, norm_a, bar)
+        largest = _largest(comp._norms_of, out, out_exact, norm_a, bar)
         if largest is None:
             return np.inf, None
         return largest / norm_a, (out, out_exact)

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .space import (
     FiniteMetricSpace,
+    _check_entries,
     _integer,
     largest_distance,
 )
@@ -156,11 +157,14 @@ def random_banded(
     """Seeded Gaussian operator supported on the band of the given radius.
 
     Entries are drawn in row-major order over the band positions, real parts
-    first, so a fixed seed fully determines the operator.
+    first, so a fixed seed fully determines the operator.  An operator of
+    more than ``MAX_TABLE_ENTRIES`` entries raises :class:`DataError`
+    before anything is allocated.
     """
     if not radius >= 0:
         raise InvalidParams(f"band radius must be nonnegative, got {radius}")
     n = space.n
+    _check_entries((n * m) ** 2, "operator entries")
     ys, zs = np.nonzero(space.dist <= radius)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((ys.size, m, m))

@@ -134,11 +134,9 @@ class BallIndex:
     order and ``sizes[x]`` its size.  ``maximal`` lists, in increasing
     order, the centers of the inclusion-maximal balls, with equal balls
     collapsed to their smallest center, and ``member[i, p]`` is set when
-    the ball around ``maximal[i]`` holds point p.  ``groups`` splits the
-    centers of nonempty maximal balls by ball size (:func:`size_groups`),
-    so that one batched factorization covers each group.  Every ball lies
-    inside some maximal ball, so a supremum of norms of restrictions
-    (two-sided or to columns) is attained on them.
+    the ball around ``maximal[i]`` holds point p.  Every ball lies inside
+    some maximal ball, so a supremum of norms of restrictions (two-sided
+    or to columns) is attained on them.
     """
 
     radius: float
@@ -146,14 +144,6 @@ class BallIndex:
     sizes: np.ndarray
     maximal: np.ndarray
     member: np.ndarray
-    groups: tuple
-
-
-def size_groups(sizes: np.ndarray, centers) -> tuple:
-    """Split centers of nonempty balls by their sizes, smallest first."""
-    centers = np.asarray(centers, dtype=np.int64)
-    sizes = sizes[centers]
-    return tuple(centers[sizes == s] for s in np.unique(sizes) if s > 0)
 
 
 def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
@@ -183,11 +173,10 @@ def ball_index(space: FiniteMetricSpace, radius: float) -> BallIndex:
     dropped = (contained & (larger | earlier)).any(axis=1)
     maximal = np.flatnonzero(~dropped)
     member = inside[maximal]
-    groups = size_groups(sizes, maximal)
     # Every caller shares the kept index, so its arrays are read-only.
-    for arr in (*balls, sizes, maximal, member, *groups):
+    for arr in (*balls, sizes, maximal, member):
         arr.setflags(write=False)
-    index = BallIndex(radius, balls, sizes, maximal, member, groups)
+    index = BallIndex(radius, balls, sizes, maximal, member)
     space._ball_indexes[radius] = index
     return index
 
@@ -694,10 +683,15 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
     raise FormatError("space document needs either 'dist' or 'n'+'edges'")
 
 
+def _read_json(path: str):
+    """The JSON document in the file at ``path``; text that is not UTF-8
+    or not JSON raises :class:`FormatError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
+
+
 def load_space(path: str) -> FiniteMetricSpace:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    return space_from_json(obj)
+    return space_from_json(_read_json(path))

@@ -241,6 +241,60 @@ def test_missing_and_malformed_inputs(tmp_path):
     assert main(["space", "validate", "--in", str(junk)]) == 3
 
 
+def test_directory_input_exits_3(tmp_path, capsys):
+    assert main(["space", "validate", "--in", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Is a directory" in captured.err
+
+
+def test_directory_output_exits_3_and_leaves_no_temporary_file(
+    tmp_path, capsys
+):
+    path = _space_file(tmp_path, n=6, name="c6.json")
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    code = main(
+        ["cb", "check", "--space", path, "--band-radius", "1",
+         "--loc-radius", "1", "--amplification", "2", "--samples", "2",
+         "--seed", "0", "--out", str(taken)]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Is a directory" in captured.err
+    # the temporary file beside the directory was removed
+    assert sorted(os.listdir(tmp_path)) == ["c6.json", "taken"]
+    assert os.listdir(taken) == []
+
+
+@pytest.mark.parametrize("command", ["space validate", "cert check"])
+def test_input_that_is_not_utf8_exits_3(tmp_path, capsys, command):
+    # ff fe opens a UTF-16 byte order mark, which is not UTF-8.
+    path = tmp_path / "utf16.json"
+    path.write_bytes('{"n": 3, "edges": []}'.encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    assert main([*command.split(), "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid JSON" in captured.err and "utf-8" in captured.err
+
+
+def test_cb_check_huge_amplification_exits_3(tmp_path, capsys):
+    # (6 * 10**7)**2 entries are past the bound.  Without the check numpy
+    # refuses the (18, 10**7, 10**7) draw, unallocated, with a traceback.
+    path = _space_file(tmp_path, n=6, name="c6.json")
+    out = tmp_path / "cb.json"
+    code = main(
+        ["cb", "check", "--space", path, "--band-radius", "1",
+         "--loc-radius", "1", "--amplification", "10000000", "--seed", "0",
+         "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "operator entries exceed 67108864" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 def test_cert_check_non_finite_vector_exit_3(tmp_path, capsys, value):
     # a one-point vector certificate whose only coefficient is not finite

@@ -134,6 +134,33 @@ def test_best_localized_vector_ties_skip_balls_inside_others():
     assert nl.localization_report(one, 1).witness_center == 1
 
 
+def test_column_search_ties_across_rounds_go_to_the_smallest_center(
+    monkeypatch,
+):
+    """Hand-made bounds open the largest maximal center first; the two
+    smaller centers tie its norm, so they open in a second round, and the
+    tie still goes to the smallest center."""
+    stacks = []
+    stack_values = nl.localization._top_values
+
+    def recorded(stack, rows):
+        stacks.append(len(stack))
+        return stack_values(stack, rows)
+
+    monkeypatch.setattr(nl.localization, "_top_values", recorded)
+    path = nl.generate_family("path", {"n": 5})
+    one = identity(path)
+    index = nl.ball_index(path, 1)
+    assert index.maximal.tolist() == [1, 2, 3]
+    reached = nl.localization._reached_rows(one, index)
+    # The bound of center 1 is its norm exactly.
+    bounds = np.array([1.0, 2.0, 3.0])
+    search = nl.localization._column_search
+    assert search(one, index, reached, bounds) == (1, 1.0)
+    assert stacks == [1, 2]
+    assert bounds.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_best_localized_vector_zero_operator(c6):
     z = nl.BandedOperator(c6, 1, np.zeros((6, 6)))
     with pytest.raises(nl.ZeroOperator):
@@ -232,6 +259,30 @@ def test_whole_space_ball_with_a_zero_row_matches_oracle():
         assert (witness.center, witness.column_norm) == literal_column_search(a, 8)
 
 
+def test_column_search_reads_reached_rows_up_to_the_gram_block(monkeypatch):
+    """At operator side ``_GRAM_BLOCK`` = 128 the column search still
+    gathers only the rows each ball's columns reach, padded to 7, and
+    its result is the full-row route's; one side past it reads full
+    rows."""
+    stacks = []
+    stack_values = nl.localization._top_values
+
+    def recorded(stack, rows):
+        stacks.append(stack.shape)
+        return stack_values(stack, rows)
+
+    monkeypatch.setattr(nl.localization, "_top_values", recorded)
+    for n, rows in ((128, 7), (129, 129)):
+        path = nl.generate_family("path", {"n": n})
+        a = nl.random_banded(path, 1, seed=3)
+        stacks.clear()
+        witness = nl.best_localized_vector(a, 2)
+        assert stacks == [(n - 4, 5, rows)]
+        assert (witness.center, witness.column_norm) == literal_column_search(
+            a, 2
+        )
+
+
 def test_column_bounds_hold_without_the_triangle_inequality():
     # The space of test_column_search_reads_every_row_the_support_reaches.
     # Column 1 of ball N(0, 1) = {0, 1, 3}
@@ -256,9 +307,9 @@ def test_column_bounds_hold_without_the_triangle_inequality():
 
 def test_report_factorizes_only_the_columns_that_can_win(c60, monkeypatch):
     """Of the 60 column restrictions of a seeded operator on the 60-cycle
-    at S = 10, only those whose bound reaches the largest block norm at S
-    are factorized, in one stack, after the blocks at S + 1 and the one
-    block at S that can be the largest."""
+    at S = 10, only those that can win are factorized, after the blocks at
+    S + 1 and the one block at S that can be the largest: the column with
+    the largest bound, then the two whose bounds reach its norm."""
     stacks = []
     stack_values = nl.localization._top_values
 
@@ -269,9 +320,9 @@ def test_report_factorizes_only_the_columns_that_can_win(c60, monkeypatch):
     monkeypatch.setattr(nl.localization, "_top_values", recorded)
     a = nl.random_banded(c60, 1, seed=2)
     rep = nl.localization_report(a, 10)
-    # blocks at S + 1, the block at S with the largest bound, the 3 column
-    # restrictions left
-    assert stacks == [(60, 23, 23), (1, 21, 21), (3, 21, 23)]
+    # blocks at S + 1, the block at S with the largest bound, the column
+    # restrictions in two rounds
+    assert stacks == [(60, 23, 23), (1, 21, 21), (1, 21, 23), (2, 21, 23)]
     assert (rep.witness_center, rep.column_norm) == literal_column_search(a, 10)
     assert rep.compressed_norm == nl.compress(a, 10).norm()
 
@@ -303,11 +354,12 @@ def test_report_factorization_counts(c60, btree6, monkeypatch):
     S + 1, the block at S with the largest bound, then the 59 others,
     whose bounds tie it and which hold 20 more distinct blocks, 23 column
     restrictions, and the norm.  Each column restriction reads the 23
-    rows its 21 columns reach.  Every column bound ties, so none is
-    pruned.  A seeded random operator there factorizes 65 matrices, 116
-    fewer than with every block and column: 1 block at S and 3 column
-    restrictions survive.  On the depth-6 tree at S = 5 the wide ball is
-    the whole space.
+    rows its 21 columns reach.  The columns go in the same two rounds as
+    the blocks at S, and every column bound ties, so none is pruned.  A
+    seeded random operator there factorizes 65 matrices, 116 fewer than
+    with every block and column: 1 block at S and 3 column restrictions
+    survive.  On the depth-6 tree at S = 5 the wide ball is the whole
+    space.
     """
     stacks = []
     stack_values = nl.localization._top_values
@@ -320,8 +372,10 @@ def test_report_factorization_counts(c60, btree6, monkeypatch):
     counts = count_factorizations(monkeypatch)
     nl.localization_report(nl.adjacency(c60), 10)
     assert counts == {"eigvalsh": 68, "eigh": 0}
-    # blocks at S + 1, blocks at S in two rounds, column restrictions
-    assert stacks == [(60, 23, 23), (1, 21, 21), (59, 21, 21), (60, 21, 23)]
+    # blocks at S + 1, then the blocks and the columns at S in two rounds
+    assert stacks == [
+        (60, 23, 23), (1, 21, 21), (59, 21, 21), (1, 21, 23), (59, 21, 23)
+    ]
     counts.update(eigvalsh=0, eigh=0)
     nl.localization_report(nl.random_banded(c60, 1, seed=2), 10)
     assert counts == {"eigvalsh": 65, "eigh": 0}
@@ -368,21 +422,34 @@ def test_largest_stops_when_a_norm_reaches_the_bar():
     cases = [([3.0, 1.0], [True, False], []), ([np.inf], [False], [[True]])]
     for norms, exact, asked in cases:
         blocks = _Blocks([3.0, 1.0][: len(norms)])
-        got = largest(blocks, np.array(norms), np.array(exact), 2.0, 1.5)
+        got = largest(
+            blocks._norms_of, np.array(norms), np.array(exact), 2.0, 1.5
+        )
         assert got is None and blocks.asked == asked
     # One ulp above the quotient, the norm comes back and the block
     # bounded by 1 stays closed.
     blocks = _Blocks([3.0, 0.5])
     bar = np.nextafter(1.5, np.inf)
     norms, exact = np.array([3.0, 1.0]), np.array([True, False])
-    assert largest(blocks, norms, exact, 2.0, bar) == 3.0
+    assert largest(blocks._norms_of, norms, exact, 2.0, bar) == 3.0
     assert blocks.asked == [] and exact.tolist() == [True, False]
+
+
+def test_largest_opens_a_bound_that_reaches_the_slack_edge():
+    # A bound equal to the largest norm times 1 - _PRUNE_SLACK reaches it,
+    # so its block is factorized; one an ulp below it is left bounded.
+    edge = 2.0 * (1 - nl.localization._PRUNE_SLACK)
+    for bound, asked in ((edge, [[False, True]]), (np.nextafter(edge, 0), [])):
+        blocks = _Blocks([2.0, 0.5])
+        norms, exact = np.array([2.0, bound]), np.array([True, False])
+        assert nl.localization._largest(blocks._norms_of, norms, exact) == 2.0
+        assert blocks.asked == asked
 
 
 def test_largest_opens_every_inf_bound_in_one_call():
     blocks = _Blocks([1.0, 3.0, 2.0])
     norms, exact = np.full(3, np.inf), np.zeros(3, dtype=bool)
-    assert nl.localization._largest(blocks, norms, exact) == 3.0
+    assert nl.localization._largest(blocks._norms_of, norms, exact) == 3.0
     assert blocks.asked == [[True, True, True]]
     assert norms.tolist() == [1.0, 3.0, 2.0] and exact.all()
 

@@ -145,6 +145,16 @@ def test_random_banded_multislot(c6):
     assert not a.data[0:3, 6:9].any()
 
 
+def test_random_banded_refuses_a_table_past_the_entry_bound():
+    # 3 points and 2731 slots make a side of 8193, one past the side whose
+    # square is MAX_TABLE_ENTRIES = 2**26; the tables would take at least
+    # 1.9 GB.
+    p3 = nl.generate_family("path", {"n": 3})
+    assert (3 * 2731) ** 2 > nl.space.MAX_TABLE_ENTRIES >= (3 * 2730) ** 2
+    with pytest.raises(nl.DataError, match="operator entries exceed 67108864"):
+        nl.random_banded(p3, 1, seed=0, m=2731)
+
+
 def test_propagation_of_zero_is_zero(c6):
     z = nl.BandedOperator(c6, 1, np.zeros((6, 6)))
     assert nl.propagation(z) == 0

@@ -173,10 +173,8 @@ def test_ball_index_maximal_centers_match_subset_check(kind, params, radii):
         assert index.maximal.tolist() == maximal_ball_centers(sp, radius)
         for x in range(sp.n):
             assert np.array_equal(index.balls[x], nl.ball(sp, x, radius))
-        grouped = np.sort(np.concatenate(index.groups))
-        assert np.array_equal(grouped, index.maximal)
-        for xs in index.groups:
-            assert len({len(index.balls[x]) for x in xs}) == 1
+        assert index.sizes.tolist() == [len(b) for b in index.balls]
+        assert np.array_equal(index.member, sp.dist[index.maximal] <= radius)
 
 
 def test_ball_index_collapses_equal_balls(c6, btree6):
