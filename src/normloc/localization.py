@@ -404,10 +404,10 @@ def _report_and_norms(
     holds its ball, which bounds its norm (:func:`_inclusion_bounds`, over
     the inclusion table the space keeps with its :func:`ball_cover`), so
     only the blocks that can be the largest, ``sq``, are factorized
-    (:func:`_largest`).  The column search comes last, with each column
-    norm bounded the same way by the (S + R)-blocks that hold its ball and
-    the rows it reaches, so it too factorizes only the columns that can
-    win.
+    (:func:`_largest`).  The column search comes last, each column norm
+    bounded by the (S + R)-blocks that hold its ball and the rows it
+    reaches.  The largest is at least ``sq``, so every column whose bound
+    reaches ``sq * (1 - _PRUNE_SLACK)`` opens in its first stack.
     """
     norm_a = operator_norm(a)
     if norm_a == 0.0:
@@ -428,6 +428,7 @@ def _report_and_norms(
     sq = _largest(compress(a, radius)._norms_of, norms, exact)
     holds = _holders(index.member | reached, cover.wide)
     bounds = _inclusion_bounds(holds, wide_norms)
+    bounds[bounds >= sq * (1 - _PRUNE_SLACK)] = np.inf
     center, col = _column_search(a, index, reached, bounds)
     sigma_sq = sq / norm_a
     sigma_col = col / norm_a

@@ -307,9 +307,9 @@ def test_column_bounds_hold_without_the_triangle_inequality():
 
 def test_report_factorizes_only_the_columns_that_can_win(c60, monkeypatch):
     """Of the 60 column restrictions of a seeded operator on the 60-cycle
-    at S = 10, only those that can win are factorized, after the blocks at
-    S + 1 and the one block at S that can be the largest: the column with
-    the largest bound, then the two whose bounds reach its norm."""
+    at S = 10, only those whose bound reaches the largest block norm at S
+    are factorized, in one stack, after the blocks at S + 1 and the one
+    block at S that can be the largest."""
     stacks = []
     stack_values = nl.localization._top_values
 
@@ -320,11 +320,36 @@ def test_report_factorizes_only_the_columns_that_can_win(c60, monkeypatch):
     monkeypatch.setattr(nl.localization, "_top_values", recorded)
     a = nl.random_banded(c60, 1, seed=2)
     rep = nl.localization_report(a, 10)
-    # blocks at S + 1, the block at S with the largest bound, the column
-    # restrictions in two rounds
-    assert stacks == [(60, 23, 23), (1, 21, 21), (1, 21, 23), (2, 21, 23)]
+    # blocks at S + 1, the block at S with the largest bound, the 3 column
+    # restrictions left
+    assert stacks == [(60, 23, 23), (1, 21, 21), (3, 21, 23)]
     assert (rep.witness_center, rep.column_norm) == literal_column_search(a, 10)
     assert rep.compressed_norm == nl.compress(a, 10).norm()
+
+
+def test_report_opens_a_column_bound_at_the_slack_edge_in_the_first_stack(
+    monkeypatch,
+):
+    """A diagonal operator on a 3-path at S = 0: each column is bounded by
+    its own entry and ``sq`` = 1.  A bound equal to ``sq`` times
+    1 - _PRUNE_SLACK reaches it, so its column is factorized in one stack
+    with the largest; one an ulp below it is left bounded."""
+    stacks = []
+    stack_values = nl.localization._top_values
+
+    def recorded(stack, rows):
+        stacks.append(stack.shape)
+        return stack_values(stack, rows)
+
+    monkeypatch.setattr(nl.localization, "_top_values", recorded)
+    path = nl.generate_family("path", {"n": 3})
+    edge = 1.0 * (1 - nl.localization._PRUNE_SLACK)
+    for bound, columns in ((edge, 2), (np.nextafter(edge, 0), 1)):
+        stacks.clear()
+        a = nl.BandedOperator(path, 1, np.diag([0.5, 1.0, bound]))
+        rep = nl.localization_report(a, 0)
+        assert (rep.witness_center, rep.column_norm) == (1, 1.0)
+        assert stacks[-1] == (columns, 1, 3)
 
 
 def test_whole_space_wide_ball_reuses_the_operator_norm(btree6):
@@ -354,12 +379,11 @@ def test_report_factorization_counts(c60, btree6, monkeypatch):
     S + 1, the block at S with the largest bound, then the 59 others,
     whose bounds tie it and which hold 20 more distinct blocks, 23 column
     restrictions, and the norm.  Each column restriction reads the 23
-    rows its 21 columns reach.  The columns go in the same two rounds as
-    the blocks at S, and every column bound ties, so none is pruned.  A
-    seeded random operator there factorizes 65 matrices, 116 fewer than
-    with every block and column: 1 block at S and 3 column restrictions
-    survive.  On the depth-6 tree at S = 5 the wide ball is the whole
-    space.
+    rows its 21 columns reach.  Every column bound ties, so none is
+    pruned.  A seeded random operator there factorizes 65 matrices, 116
+    fewer than with every block and column: 1 block at S and 3 column
+    restrictions survive.  On the depth-6 tree at S = 5 the wide ball is
+    the whole space.
     """
     stacks = []
     stack_values = nl.localization._top_values
@@ -372,10 +396,8 @@ def test_report_factorization_counts(c60, btree6, monkeypatch):
     counts = count_factorizations(monkeypatch)
     nl.localization_report(nl.adjacency(c60), 10)
     assert counts == {"eigvalsh": 68, "eigh": 0}
-    # blocks at S + 1, then the blocks and the columns at S in two rounds
-    assert stacks == [
-        (60, 23, 23), (1, 21, 21), (59, 21, 21), (1, 21, 23), (59, 21, 23)
-    ]
+    # blocks at S + 1, blocks at S in two rounds, column restrictions
+    assert stacks == [(60, 23, 23), (1, 21, 21), (59, 21, 21), (60, 21, 23)]
     counts.update(eigvalsh=0, eigh=0)
     nl.localization_report(nl.random_banded(c60, 1, seed=2), 10)
     assert counts == {"eigvalsh": 65, "eigh": 0}
@@ -387,7 +409,9 @@ def test_report_factorization_counts(c60, btree6, monkeypatch):
 def test_tree_report_factorizes_no_wide_block(btree6, monkeypatch):
     """On the depth-6 tree at S = 5 the one ball at S + R is the whole
     space, so the operator norm is its block norm: the report factorizes
-    the maximal blocks at S, largest bound first, then the columns."""
+    the maximal blocks at S, largest bound first, then the columns.  So
+    does a 4-path with 128 slots at S = 1, whose side 512 is the largest
+    that takes the dense route to the operator norm."""
     stacks = []
     stack_values = nl.localization._top_values
 
@@ -400,6 +424,10 @@ def test_tree_report_factorizes_no_wide_block(btree6, monkeypatch):
         stacks.clear()
         nl.localization_report(a, 5)
         assert stacks == [(1, 63, 63), (2, 79, 79), (1, 63, 127), (2, 79, 95)]
+    path = nl.generate_family("path", {"n": 4})
+    stacks.clear()
+    nl.localization_report(nl.random_banded(path, 1, seed=0, m=128), 1)
+    assert stacks == [(2, 384, 384), (2, 384, 512)]
 
 
 class _Blocks:

@@ -1,6 +1,6 @@
 """One-token mutation audit of named library functions.
 
-    python tools/mutate.py [--tests "PYTEST ARGS"] [--jobs N] NAME [NAME ...]
+    python tools/mutate.py NAME [NAME ...]
 
 Each NAME is a function (``_largest``) or a method
 (``BlockCompression.norm``) of a module under ``src/normloc``.  Every
@@ -15,12 +15,12 @@ mutant changes one token inside one of them:
 - ``True`` and ``False`` swap;
 - a float constant is zeroed and scaled by 1000 (0.0 becomes 1.0).
 
-Each mutant runs the tests (default: ``tests``, the tier-1 suite) in a
-fresh copy of the files they read (``COPIED``), stopping at the first
-failure.  A mutant is killed when the tests fail and survives when
-they pass.  The unmutated copy must pass first.  Uses the standard library
-only; prints one line per mutant and the counts, and exits 1 when a mutant
-survives.
+Each mutant runs the tier-1 suite, ``tests``, in a fresh copy of the
+files it reads (``COPIED``), stopping at the first failure, with one run
+at a time per CPU.  A mutant is killed when the tests fail and survives
+when they pass.  The unmutated copy must pass first.  Uses the standard
+library only; prints one line per mutant and the counts, and exits 1 when
+a mutant survives.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import shlex
 import shutil
 import subprocess
 import sys
@@ -171,8 +170,7 @@ def count(path: Path, name: str) -> int:
 
 
 def run_tests(
-    tests: list, timeout: float | None, module: Path | None = None,
-    text: str = "",
+    timeout: float | None, module: Path | None = None, text: str = ""
 ) -> bool:
     """Whether the tests pass within ``timeout`` seconds in a fresh copy,
     with ``module`` replaced by ``text`` when given."""
@@ -193,7 +191,7 @@ def run_tests(
         }
         command = [
             sys.executable, "-m", "pytest", "-x", "-q",
-            "-p", "no:cacheprovider", *tests,
+            "-p", "no:cacheprovider", "tests",
         ]
         try:
             done = subprocess.run(
@@ -208,16 +206,9 @@ def run_tests(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="+", help="function or Class.method")
-    parser.add_argument(
-        "--tests", default="tests", help="pytest arguments (default: tests)"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="test runs at once (default: 1)"
-    )
     args = parser.parse_args(argv)
-    tests = shlex.split(args.tests)
     start = time.monotonic()
-    if not run_tests(tests, None):
+    if not run_tests(None):
         print("the unmutated tests fail; nothing to audit", file=sys.stderr)
         return 2
     timeout = max(60.0, SLOWDOWN * (time.monotonic() - start))
@@ -229,11 +220,11 @@ def main(argv=None) -> int:
     def audit(job):
         path, name, i = job
         text, what = mutant_source(path, name, i)
-        passed = run_tests(tests, timeout, path, text)
+        passed = run_tests(timeout, path, text)
         return f"{path.name} {name} {what}", passed
 
     survivors = 0
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
         for label, passed in pool.map(audit, jobs):
             survivors += passed
             verdict = "SURVIVED" if passed else "killed  "
