@@ -126,7 +126,9 @@ def _group_norms(index: BallIndex, which: np.ndarray, values_of) -> np.ndarray:
     centers = index.maximal[which]
     sizes = index.sizes[centers]
     norms = np.zeros(centers.shape)
-    for size in np.unique(sizes[sizes > 0]):
+    # The sizes past 0 that occur, smallest first; a count rather than a
+    # plain np.unique, which imports numpy.ma.
+    for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         same = sizes == size
         norms[same] = values_of(centers[same])
     return norms

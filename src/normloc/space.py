@@ -286,9 +286,11 @@ def _hop_distances(n: int, pairs: np.ndarray, sources) -> np.ndarray:
     number of edges.
     """
     sources = np.asarray(sources, dtype=np.int64)
-    # Both orientations, duplicates merged, sorted by tail: CSR order.
+    # Both orientations, sorted by tail (CSR order), repeats dropped to save
+    # work.  A sort and a neighbour test: a plain np.unique imports numpy.ma.
     tail, head = pairs.T
-    keys = np.unique(np.concatenate([tail * n + head, head * n + tail]))
+    keys = np.sort(np.concatenate([tail * n + head, head * n + tail]))
+    keys = keys[np.diff(keys, prepend=-1) > 0]
     neighbours = keys % n
     degree = np.bincount(keys // n, minlength=n)
     start = np.cumsum(degree) - degree
@@ -307,8 +309,8 @@ def _hop_distances(n: int, pairs: np.ndarray, sources) -> np.ndarray:
         cand = np.repeat(frontier - v, count) + reached
         cand = cand[dist[cand] < 0]
         # Several frontier pairs can reach one new pair: tag each candidate
-        # with its own negative stamp; exactly one stamp per pair survives.
-        stamp = -2 - np.arange(cand.size)
+        # with its own stamp; exactly one stamp per pair survives.
+        stamp = np.arange(cand.size)
         dist[cand] = stamp
         frontier = cand[dist[cand] == stamp]
         dist[frontier] = level

@@ -398,16 +398,58 @@ def test_json_document_for_disconnected_graph_fails():
         nl.space_from_json(doc)
 
 
-def test_import_leaves_networkx_unloaded():
+# One fresh interpreter runs every CLI command that builds a graph or
+# searches blocks, then the tree-search library path, and reports which of
+# the two unused packages it loaded.  numpy 1.x loads numpy.ma on import.
+_FRESH_PROCESS = """
+import sys
+import numpy
+ma_on_import = "numpy.ma" in sys.modules
+import normloc as nl
+from normloc import cli
+out = sys.argv[1]
+commands = [
+    ["space", "gen", "--kind", "cycle", "--n", "12", "--out", out + "/c.json"],
+    ["space", "gen", "--kind", "binary-tree", "--depth", "3",
+     "--out", out + "/t.json"],
+    ["onl", "profile", "--space", out + "/c.json", "--band-radius", "1",
+     "--loc-radius", "2", "--samples", "2", "--budget", "4",
+     "--certificate", "ball", "--include-adjacency", "--seed", "1",
+     "--out", out + "/p"],
+    ["equiv", "run", "--space", out + "/c.json", "--band-radius", "1",
+     "--loc-radius", "2", "--samples", "2", "--profile-samples", "1",
+     "--budget", "4", "--seed", "1", "--out", out + "/e"],
+    ["cb", "check", "--space", out + "/t.json", "--band-radius", "1",
+     "--loc-radius", "2", "--amplification", "2", "--samples", "1",
+     "--seed", "1", "--out", out + "/cb.json"],
+]
+codes = [cli.main(argv) for argv in commands]
+tree = nl.generate_family("binary_tree", {"depth": 4})
+certificate = nl.subset_to_vector(nl.tree_ray_certificate(tree, 3))
+profile = nl.onl_profile(
+    tree, 1, 3, samples=1, seed=5, search_budget=4, certificate=certificate
+)
+sample = nl.random_banded(tree, 1, profile.sample_seeds[0])
+nl.power_trick_witness(sample, 3, 2)
+print(codes, "networkx" in sys.modules, "numpy.ma" in sys.modules, ma_on_import)
+"""
+
+
+def test_import_leaves_networkx_unloaded(tmp_path):
+    """No normloc run loads networkx, nor numpy.ma unless numpy does: a
+    plain ``np.unique`` imports numpy.ma, so the library avoids it."""
     src = str(Path(nl.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, normloc, normloc.cli; print('networkx' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
+        [sys.executable, "-c", _FRESH_PROCESS, str(tmp_path)], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.strip() == "False"
+    last = done.stdout.splitlines()[-1]
+    codes, networkx, ma, ma_on_import = last.rsplit(" ", 3)
+    assert codes == "[0, 0, 0, 0, 0]"
+    assert networkx == "False"
+    assert ma == ma_on_import
 
 
 def test_no_library_module_imports_networkx():
