@@ -392,6 +392,12 @@ def _chain(sigma_sq: float, sigma_col: float, sigma_wide: float) -> tuple:
     return bool(ok), float(slack)
 
 
+def _consistent(lower: float, worst: float) -> bool:
+    """Whether the certified floor ``lower`` is at most the worst measured
+    ratio, up to 1e-9; a NaN floor fails the comparison."""
+    return bool(lower <= worst + 1e-9)
+
+
 def _report_and_norms(
     a: BandedOperator, radius: float
 ) -> tuple[LocalizationReport, np.ndarray, np.ndarray]:
@@ -921,9 +927,9 @@ def onl_profile(
     if certificate is not None:
         terms = band_epsilon(certificate, band_radius)
         epsilon, vacuous = terms["epsilon"], terms["vacuous"]
-        # np.maximum keeps a NaN epsilon's NaN, which fails the comparison.
+        # np.maximum keeps a NaN epsilon's NaN, which fails _consistent.
         lower = float(np.maximum(0.0, 1.0 - epsilon))
-        consistent = bool(lower <= worst + 1e-9)
+        consistent = _consistent(lower, worst)
     return OnlProfile(
         space_name=space.name,
         n=space.n,

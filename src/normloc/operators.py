@@ -190,28 +190,38 @@ def _parts(stack: np.ndarray) -> np.ndarray:
 _scratch_buffers = threading.local()
 
 
-def _scratch(slot: str, shape: tuple, dtype) -> np.ndarray | None:
-    """An uninitialized array of ``shape`` over a buffer this thread keeps,
-    or None (allocate afresh) outside the sizes of ``_SCRATCH_BYTES``.
+def _scratch(role: str, shape: tuple, dtype) -> np.ndarray | None:
+    """An uninitialized array of ``shape`` over a buffer this thread keeps
+    for ``role``, or None (allocate afresh) outside the sizes of
+    ``_SCRATCH_BYTES``.
 
     The stacks of a report are a few hundred KB each.  Fresh arrays of
     that size make the allocator return memory to the kernel and fault
     it back in for the next stack: about 2,400 page faults and 4.5 ms of
-    system time per equiv-cycle op.  Kept buffers make no faults.  Small
+    system time per equiv-cycle op.  With kept buffers a whole op makes
+    about 0.5 minor faults (equiv-cycle) or 0.25 (tree-search).  Small
     arrays come from the allocator's free lists, where a kept buffer
-    saves nothing and costs a lookup.  The array is valid until this
-    thread asks for ``slot`` again.
+    saves nothing and costs a lookup.
+
+    A buffer is raw bytes viewed in the dtype asked for, so a role serves
+    every dtype; the array is valid until this thread asks for ``role``
+    again.  There are three roles, all live together in
+    :func:`_top_values`.  :func:`_gather` takes the ``stack`` through
+    flat indices in ``index``; :func:`_top_values` scales into ``stack``,
+    so it may overwrite a stack handed over from :func:`_gather`, puts
+    the conjugate in ``index``, dead once the take is done, and
+    multiplies into ``gram``.
     """
     dtype = np.dtype(dtype)
-    size = math.prod(shape)
+    size = math.prod(shape) * dtype.itemsize
     low, high = _SCRATCH_BYTES
-    if not low <= size * dtype.itemsize <= high:
+    if not low <= size <= high:
         return None
     buffers = vars(_scratch_buffers)
-    buffer = buffers.get((slot, dtype))
+    buffer = buffers.get(role)
     if buffer is None or buffer.size < size:
-        buffer = buffers[slot, dtype] = np.empty(size, dtype)
-    return buffer[:size].reshape(shape)
+        buffer = buffers[role] = np.empty(size, np.uint8)
+    return buffer[:size].view(dtype).reshape(shape)
 
 
 def _scale_by_powers_of_two(
@@ -264,13 +274,13 @@ def _top_values(stack: np.ndarray, rows: bool) -> np.ndarray:
     k = len(flat)
     dtype = np.promote_types(flat.dtype, np.float64)
     scaled, exponent = _scale_by_powers_of_two(
-        flat, parts, out=_scratch("scaled", (k, p, q), dtype)
+        flat, parts, out=_scratch("stack", (k, p, q), dtype)
     )
     # The conjugate of a real array is the array itself, and numpy's matmul
     # then takes the symmetric product; a copy would change its bits.
     conj = scaled
     if dtype.kind == "c":
-        conj = np.conjugate(scaled, out=_scratch("conj", (k, p, q), dtype))
+        conj = np.conjugate(scaled, out=_scratch("index", (k, p, q), dtype))
     adjoint = np.swapaxes(conj, -1, -2)
     side = p if rows else q
     out = _scratch("gram", (k, side, side), dtype)

@@ -679,6 +679,36 @@ def test_chain_verdict_on_hand_made_chains(sigmas, ok, slack):
     assert nl.localization._chain(*sigmas) == (ok, slack)
 
 
+def test_gather_fills_the_kept_stack():
+    # 60 blocks of 23 x 23 complex entries (496 KiB) are taken into the
+    # kept stack buffer, where the value kernel then scales them in place.
+    rng = np.random.default_rng(14)
+    parts = rng.standard_normal((2, 120, 120))
+    source = parts[0] + 1j * parts[1]
+    idx = rng.integers(0, 120, size=(60, 23))
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    stack = nl.localization._gather(source, rows, cols)
+    assert np.array_equal(stack, source[rows, cols])
+    kept = vars(nl.operators._scratch_buffers)
+    assert np.shares_memory(stack, kept["stack"])
+
+
+@pytest.mark.parametrize(
+    "lower, ok",
+    [
+        (0.25, True),
+        # inside the 1e-9 slack, and at its edge
+        (0.5 + 5e-10, True),
+        (0.5 + 1e-9, True),
+        # past it
+        (0.5 + 5e-9, False),
+        (float("nan"), False),
+    ],
+)
+def test_consistent_verdict_on_hand_made_floors(lower, ok):
+    assert nl.localization._consistent(lower, 0.5) is ok
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -342,6 +343,74 @@ def test_kept_and_fresh_arrays_give_the_same_bits(monkeypatch, sizes):
     expected = [nl.top_singular_values(s).tobytes() for s in stacks]
     monkeypatch.setattr(nl.operators, "_SCRATCH_BYTES", sizes)
     assert [nl.top_singular_values(s).tobytes() for s in stacks] == expected
+
+
+def test_a_report_keeps_three_buffers(c60):
+    # A report gathers its stacks through flat indices, scales each stack
+    # where it was gathered, conjugates into the indices' buffer and
+    # multiplies into a third: three kept buffers, each as large as the
+    # largest stack, the 60 wide blocks of 23 points.
+    kept = vars(nl.operators._scratch_buffers)
+    kept.clear()
+    ops = [nl.random_banded(c60, 1, seed=s) for s in (21, 22)]
+    first = nl.localization_report(ops[0], 10)
+    assert sorted(kept) == ["gram", "index", "stack"]
+    buffers = dict(kept)
+    assert {b.nbytes for b in buffers.values()} == {60 * 23 * 23 * 16}
+    second = nl.localization_report(ops[1], 10)
+    # the same objects, so none grew
+    assert kept.keys() == buffers.keys()
+    assert all(kept[role] is buffers[role] for role in buffers)
+    for op, report in zip(ops, (first, second)):
+        kept.clear()
+        fresh = nl.localization_report(op, 10)
+        assert dataclasses.astuple(fresh) == dataclasses.astuple(report)
+
+
+@pytest.mark.parametrize(
+    "q, kept",
+    [(255, {}), (256, {"stack": 64 << 10}), (16384, {"stack": 4 << 20}),
+     (16385, {})],
+)
+def test_kept_sizes_include_both_ends(q, kept):
+    # Real stacks of 8 matrices 4 x q: the stack is 32q bytes and its
+    # Gram 8 x 4 x 4, so only the stack can be kept, from 64 KiB to
+    # 4 MiB inclusive.  A fresh thread starts with no buffers.
+    def buffers():
+        stack = np.random.default_rng(13).standard_normal((8, 4, q))
+        nl.top_singular_values(stack)
+        return {role: b.nbytes
+                for role, b in vars(nl.operators._scratch_buffers).items()}
+
+    with ThreadPoolExecutor(1) as pool:
+        assert pool.submit(buffers).result() == kept
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _complex_stack(rng, (40, 12, 10)),
+        lambda rng: rng.standard_normal((80, 12, 10)),
+        lambda rng: _complex_stack(rng, (20, 12, 10))[
+            rng.integers(0, 20, size=40)
+        ],
+        lambda rng: _complex_stack(rng, (127, 127)),
+        # every other row and column of a larger stack
+        lambda rng: _complex_stack(rng, (40, 24, 20))[:, ::2, ::2],
+    ],
+    ids=["complex", "real", "repeats", "one-matrix", "strided"],
+)
+def test_top_singular_values_leave_their_input_alone(make):
+    # Every stack is inside the kept sizes; the kept buffers are scaled
+    # in place, never the caller's array.
+    stack = make(np.random.default_rng(12))
+    assert stack.nbytes >= nl.operators._SCRATCH_BYTES[0]
+    owner = stack if stack.base is None else stack.base
+    before = owner.tobytes()
+    got = nl.top_singular_values(stack)
+    assert owner.tobytes() == before
+    expected = np.linalg.svd(stack, compute_uv=False)[..., 0]
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def test_real_stacks_keep_the_symmetric_product():
